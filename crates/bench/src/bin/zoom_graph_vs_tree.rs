@@ -45,7 +45,10 @@
 //! 9. streaming mutations on the loaded catalog diverge from a
 //!    from-scratch rebuild over the final object set, or one insert
 //!    stops beating one full rebuild by at least 10×
-//!    (`streaming` section).
+//!    (`streaming` section);
+//! 10. at acceptance scale, the graph-resident sweep stops beating the
+//!     tree-backed sweep on wall clock in the same run (`sweep_ms`;
+//!     smoke runs skip this gate, like the assembly gate below).
 //!
 //! Usage: `cargo run --release -p disc-bench --bin zoom_graph_vs_tree
 //! [-- <output-path>]` (default `BENCH_zoom_graph.json`). `GRAPH_N`
@@ -114,10 +117,11 @@ fn main() {
     );
     eprintln!("  sweep |S| per radius: {:?} (r_max then targets)", m.sizes);
     eprintln!(
-        "  graph sweep: total {} dc (extra beyond build: {}), {:.1}ms; \
-         tree sweep: {} dc / {} accesses, {:.1}ms",
+        "  graph sweep: total {} dc (extra beyond build: {}), {:.1}ms \
+         (build + sweep {:.1}ms); tree sweep: {} dc / {} accesses, {:.1}ms",
         m.graph_total_dc(),
         m.graph_sweep_extra_dc,
+        m.graph_sweep_ms,
         m.strat_build_ms + m.graph_sweep_ms,
         m.tree_sweep_dc,
         m.tree_sweep_accesses,
@@ -175,6 +179,15 @@ fn main() {
         "sharded stratified CSR diverged from the serial assembly"
     );
     if !smoke {
+        // Both sweeps run in the same process on the same host, so the
+        // comparison is a same-run ratio, not an absolute budget.
+        assert!(
+            m.graph_sweep_ms < m.tree_sweep_ms,
+            "sweep gate: graph-resident sweep {:.1}ms no longer beats the \
+             tree-backed sweep {:.1}ms",
+            m.graph_sweep_ms,
+            m.tree_sweep_ms
+        );
         assert!(
             m.strat_assembly_ms <= ASSEMBLY_RATIO_LIMIT * m.strat_selfjoin_ms,
             "assembly regression gate: {:.1}ms exceeds {ASSEMBLY_RATIO_LIMIT}x \
@@ -245,7 +258,7 @@ fn main() {
     );
     let sweep = |g: &disc_graph::StratifiedDiskGraph| {
         let mut sols = Vec::new();
-        let mut prev = greedy_disc_graph(&g.view(R_MAX).to_unit_disk_graph());
+        let mut prev = greedy_disc_graph(&g.view(R_MAX));
         sols.push(prev.solution.clone());
         for &r_new in &TARGETS {
             prev = greedy_zoom_in_graph(g, &prev, r_new).result;

@@ -552,7 +552,7 @@ pub fn measure_zoom_graph_vs_tree(
     // Graph-resident sweep: everything reads the stratified graph.
     let t = Instant::now();
     let mut graph_sols: Vec<Vec<usize>> = Vec::new();
-    let mut prev_g = greedy_disc_graph(&strat.view(r_max).to_unit_disk_graph());
+    let mut prev_g = greedy_disc_graph(&strat.view(r_max));
     graph_sols.push(prev_g.solution.clone());
     for &r_new in targets {
         prev_g = greedy_zoom_in_graph(&strat, &prev_g, r_new).result;
@@ -782,7 +782,7 @@ pub fn measure_serve(
     let state = ServeState::from_catalog(catalog);
     let expected: Vec<u64> = radii
         .iter()
-        .map(|&r| solution_hash(&greedy_disc_graph(&graph.view(r).to_unit_disk_graph()).solution))
+        .map(|&r| solution_hash(&greedy_disc_graph(&graph.view(r)).solution))
         .collect();
 
     // Throughput phase: queue large enough that nothing sheds.
@@ -1039,8 +1039,8 @@ pub fn measure_streaming(
     .expect("self-join over a clean dataset");
     let rebuild_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
-    let mine = greedy_disc_graph(&catalog.graph().view(radius).to_unit_disk_graph());
-    let scratch = greedy_disc_graph(&rebuilt.view(radius).to_unit_disk_graph());
+    let mine = greedy_disc_graph(&catalog.graph().view(radius));
+    let scratch = greedy_disc_graph(&rebuilt.view(radius));
 
     // Delete-path comparison: the same deterministic delete sequence
     // replayed on two clones of the *original* graph — once through the

@@ -3,13 +3,23 @@
 //!
 //! Everything here is **index-free**: a snapshot persists the dataset
 //! and the stratified disk graph but not the M-tree, so serving uses
-//! exactly the graph-resident selection runners
-//! ([`disc_core::greedy_disc_graph_checked`] for one radius,
-//! [`disc_core::greedy_zoom_in_graph_checked`] chains for sweeps). The
-//! parity guarantee — a served solution is byte-identical to the same
-//! runner called in-process — holds by construction, because these are
-//! the same functions, and the `*_checked` runners are pinned
-//! byte-identical to their plain twins when the token never fires.
+//! exactly the graph-resident selection runners, reading the
+//! stratified graph in place:
+//!
+//! * a standalone zoom, the first step of a sweep and the `r_max`
+//!   bootstrap of the maintained cover run
+//!   [`disc_core::greedy_disc_graph_checked`] on the
+//!   [`StratifiedView`](disc_graph::StratifiedView) at their radius
+//!   (one binary search per row, no copy of the edge set);
+//! * later sweep steps chain [`disc_core::greedy_zoom_in_graph_checked`]
+//!   over the graph's `row_within` prefixes.
+//!
+//! The parity guarantee — a served solution is byte-identical to the
+//! same runner called in-process — holds by construction, because these
+//! are the same functions, and the `*_checked` runners are pinned
+//! byte-identical to their plain twins when the token never fires. The
+//! runners are also pinned to the id-sorted reference
+//! (`view.to_unit_disk_graph()`) and to the tree-backed heuristics.
 //!
 //! Two diagnostic ops ride along: `sleep` (occupies a worker, polling
 //! its token — the saturation and deadline tests are built from it) and
@@ -33,7 +43,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use disc_core::{
-    greedy_disc_graph_checked, greedy_zoom_in_graph_checked, DiscResult, RepairableSolution,
+    greedy_disc_graph, greedy_disc_graph_checked, greedy_zoom_in_graph_checked, DiscResult,
+    RepairableSolution,
 };
 use disc_graph::{InsertReceipt, RemoveReceipt, StreamingCatalog};
 use disc_metric::{CancelToken, ObjId};
@@ -217,8 +228,7 @@ pub fn solve_zoom(
 ) -> Result<Arc<CachedSolution>, CliError> {
     let catalog = state.catalog();
     let view = catalog.graph().try_view(radius)?;
-    let unit = view.to_unit_disk_graph();
-    let result = greedy_disc_graph_checked(&unit, cancel)?;
+    let result = greedy_disc_graph_checked(&view, cancel)?;
     Ok(cacheable(result))
 }
 
@@ -260,8 +270,7 @@ pub fn solve_sweep(
     let catalog = state.catalog();
     let mut steps = Vec::with_capacity(radii.len());
     let view = catalog.graph().try_view(radii[0])?;
-    let unit = view.to_unit_disk_graph();
-    let mut prev = greedy_disc_graph_checked(&unit, cancel)?;
+    let mut prev = greedy_disc_graph_checked(&view, cancel)?;
     steps.push(cacheable(prev.clone()));
     for &r in &radii[1..] {
         prev = greedy_zoom_in_graph_checked(catalog.graph(), &prev, r, cancel)?.result;
@@ -291,8 +300,7 @@ fn run_sleep(ms: u64, cancel: Option<&CancelToken>) -> Result<(), CliError> {
 /// selection to drift from).
 fn bootstrap_tracker(catalog: &StreamingCatalog, r_max: f64) -> Option<RepairableSolution> {
     let view = catalog.graph().try_view(r_max).ok()?;
-    let unit = view.to_unit_disk_graph();
-    let result = greedy_disc_graph_checked(&unit, None).ok()?;
+    let result = greedy_disc_graph(&view);
     RepairableSolution::from_result(catalog, &result).ok()
 }
 

@@ -1,37 +1,44 @@
 //! Graph-resident selection loops: the paper's heuristics executed over
-//! a materialised [`UnitDiskGraph`] with **zero tree queries**.
+//! a materialised `G_{P,r}` with **zero tree queries**.
 //!
 //! The tree-backed runners in [`crate::greedy`] and [`crate::cover`]
 //! re-derive neighbourhoods with M-tree range queries on every
 //! selection round. When the whole graph `G_{P,r}` is needed anyway — a
 //! full Greedy-DisC or Greedy-C run consumes every neighbourhood at
-//! least once — it is cheaper to materialise `G_{P,r}` once (one
+//! least once — it is cheaper to materialise it once (one
 //! [`range_self_join`](disc_mtree::MTree::range_self_join) traversal)
 //! and run the selection loop over CSR adjacency. The trade:
 //!
-//! * **graph-resident** — pays the self-join up front (memory: one CSR,
-//!   8 bytes per directed edge; 16 for the distance-annotated
-//!   stratified variant) and then selects with pure array scans; total
-//!   distance computations equal the self-join's, typically far below
-//!   the tree-backed run's. Fixed-radius workloads use a
-//!   [`UnitDiskGraph`]; workloads whose radius **changes between
-//!   selections** — zoom-in/zoom-out sweeps, per-object radii — use a
-//!   [`StratifiedDiskGraph`] built once at the largest radius of
-//!   interest, whose `(distance, id)`-sorted rows answer every smaller
-//!   radius as a prefix (the former "each radius would need its own
-//!   graph" limitation of this module is thereby resolved). The
-//!   **annotation surcharge** of that build — exact distances disable
-//!   the distance-free inclusion shortcuts — is bounded: every
-//!   annotated distance beyond the plain self-join belongs to an
-//!   emitted edge, and those inclusion-qualified pairs are evaluated by
-//!   the M-tree's batched SoA leaf sweeps rather than per-pair calls,
-//!   while the CSR rows sort by a radix pass on the `f64` bit image
-//!   instead of a float comparator. On the fig9 clustered 10k workload
-//!   at `r_max = 0.08` the stratified build runs 7.67M distance
-//!   computations (plain join 2.85M + ≤ 1 per edge, 6.04M edges) in
-//!   ≈ 0.5 s — down 3× from the 1.61 s the PR 4 pipeline recorded — and
-//!   a whole multi-radius zoom sweep still adds **zero** distance
-//!   computations on top (`zoom_graph_vs_tree` gates both properties).
+//! * **graph-resident** — pays the self-join up front (memory: one
+//!   distance-annotated CSR, 16 bytes per directed edge) and then
+//!   selects with pure array scans; total distance computations equal
+//!   the self-join's, typically far below the tree-backed run's. One
+//!   [`StratifiedDiskGraph`], built once at the largest radius of
+//!   interest, answers **every** radius `r' ≤ r_max`: its
+//!   `(distance, id)`-sorted rows hold `G_{P,r'}` as per-row prefixes.
+//!   - The fixed-radius runners ([`greedy_disc_graph`],
+//!     [`greedy_c_graph`], [`fast_c_graph`]) are generic over
+//!     [`NeighborSource`] and select on a
+//!     [`StratifiedView`](disc_graph::StratifiedView) at `r'`, whose
+//!     per-row cutoffs cost one binary search per row. No id-sorted
+//!     copy of the graph is built; the plain
+//!     [`UnitDiskGraph`](disc_graph::UnitDiskGraph) also implements the
+//!     trait and serves as the reference the tests compare against.
+//!   - The adaptive-radius runners (zooming, per-object radii) read
+//!     `row_within` prefixes and annotated distances directly.
+//!
+//!   The **annotation surcharge** of the stratified build — exact
+//!   distances disable the distance-free inclusion shortcuts — is
+//!   bounded: every annotated distance beyond the plain self-join
+//!   belongs to an emitted edge, and those inclusion-qualified pairs
+//!   are evaluated by the M-tree's batched SoA leaf sweeps rather than
+//!   per-pair calls, while the CSR rows sort by a radix pass on the
+//!   `f64` bit image instead of a float comparator. On the fig9
+//!   clustered 10k workload at `r_max = 0.08` the stratified build runs
+//!   7.67M distance computations (plain join 2.85M + ≤ 1 per edge,
+//!   6.04M edges) in ≈ 0.5 s, and a whole multi-radius zoom sweep adds
+//!   **zero** distance computations on top (`zoom_graph_vs_tree` gates
+//!   both properties).
 //! * **tree-backed** — no edge materialisation, so it wins when memory
 //!   is tight or when only a small part of the graph will be consumed
 //!   (local zooms, early termination).
@@ -44,7 +51,11 @@
 //! Greedy-C. [`fast_c_graph`] keeps Fast-C's lazy-update strategy
 //! (no per-grey cascades, pop-time revalidation) but — because CSR
 //! adjacency is exact where Fast-C's truncated climbs are not — its
-//! solutions also coincide with Greedy-C's.
+//! solutions also coincide with Greedy-C's. Row order never matters:
+//! counts depend only on row membership and the heap pops by the total
+//! order `(count, Reverse(external rank))`, so a view's
+//! distance-ordered rows and the reference's id-ordered rows give the
+//! same picks.
 //!
 //! ## Graph-resident zooming and multi-radius selection
 //!
@@ -84,7 +95,7 @@
 //! order is then exactly `0..n`, so the leaf-order passes degrade into
 //! sequential row scans.
 
-use disc_graph::{StratifiedDiskGraph, UnitDiskGraph};
+use disc_graph::{NeighborSource, StratifiedDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
 use disc_mtree::{Color, MTree};
@@ -95,12 +106,13 @@ use crate::result::{DiscResult, ZoomResult};
 use crate::zoom_out::ZoomOutVariant;
 use crate::{checkpoint, never_cancelled};
 
-/// Greedy-DisC (Algorithm 1) over a materialised graph. Identical
-/// solutions to the exact tree-backed variants
-/// ([`crate::greedy_disc`] with [`crate::GreedyVariant::Grey`] or
-/// [`crate::GreedyVariant::White`]) and to
+/// Greedy-DisC (Algorithm 1) over any [`NeighborSource`] — in serving,
+/// a [`StratifiedView`](disc_graph::StratifiedView) prefix of the
+/// stratified graph. Identical solutions to the exact tree-backed
+/// variants ([`crate::greedy_disc`] with [`crate::GreedyVariant::Grey`]
+/// or [`crate::GreedyVariant::White`]) and to
 /// [`disc_graph::reference::greedy_disc_ref`]; no node accesses.
-pub fn greedy_disc_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn greedy_disc_graph<G: NeighborSource + ?Sized>(g: &G) -> DiscResult {
     never_cancelled(greedy_disc_graph_checked(g, None))
 }
 
@@ -108,51 +120,20 @@ pub fn greedy_disc_graph(g: &UnitDiskGraph) -> DiscResult {
 /// round: a fired deadline returns `Err(Cancelled)` mid-scan with no
 /// partial solution escaping. Byte-identical to the plain runner when
 /// the token never cancels.
-pub fn greedy_disc_graph_checked(
-    g: &UnitDiskGraph,
+pub fn greedy_disc_graph_checked<G: NeighborSource + ?Sized>(
+    g: &G,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
-    let n = g.len();
-    let mut color = vec![Color::White; n];
-    let mut white = n;
-    // counts[v] = |N_r(v) ∩ white|, exact throughout.
-    let mut counts: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
-    let mut heap = LazyMaxHeap::with_capacity(n);
-    for (id, &c) in counts.iter().enumerate() {
-        heap.push_ranked(id, g.external_id(id), c);
-    }
-    let mut newly_grey: Vec<ObjId> = Vec::new();
+    let mut color = vec![Color::White; g.len()];
     let mut solution = Vec::new();
-    while white > 0 {
-        checkpoint(cancel)?;
-        let picked = match heap.pop_valid(|id| (color[id] == Color::White).then(|| counts[id])) {
-            Some(p) => p,
-            None => unreachable!("white objects remain, so the heap holds a candidate"),
-        };
-        color[picked] = Color::Black;
-        white -= 1;
-        newly_grey.clear();
-        newly_grey.extend(
-            g.neighbors(picked)
-                .iter()
-                .copied()
-                .filter(|&u| color[u] == Color::White),
-        );
-        for &u in &newly_grey {
-            color[u] = Color::Grey;
-            white -= 1;
-        }
-        for &u in &newly_grey {
-            for &w in g.neighbors(u) {
-                if color[w] == Color::White {
-                    debug_assert!(counts[w] > 0, "exact counts cannot underflow");
-                    counts[w] -= 1;
-                    heap.push_ranked(w, g.external_id(w), counts[w]);
-                }
-            }
-        }
-        solution.push(g.external_id(picked));
-    }
+    greedy_white_pass_over(
+        g.len(),
+        |v| g.neighbors(v).iter().copied(),
+        |v| g.external_id(v),
+        &mut color,
+        &mut solution,
+        cancel,
+    )?;
     Ok(DiscResult {
         radius: g.radius(),
         heuristic: "G-DisC (Graph)".into(),
@@ -172,44 +153,44 @@ fn cover_key(color: &[Color], counts: &[u32], id: ObjId) -> Option<u32> {
     }
 }
 
-/// Greedy-C (Section 2.3) over a materialised graph: candidates include
-/// grey objects, counts maintained exactly. Identical solutions to the
-/// tree-backed [`crate::greedy_c`] and to
+/// Greedy-C (Section 2.3) over any [`NeighborSource`]: candidates
+/// include grey objects, counts maintained exactly. Identical solutions
+/// to the tree-backed [`crate::greedy_c`] and to
 /// [`disc_graph::reference::greedy_c_ref`]; no node accesses.
-pub fn greedy_c_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn greedy_c_graph<G: NeighborSource + ?Sized>(g: &G) -> DiscResult {
     never_cancelled(run_cover_graph(g, false, None))
 }
 
 /// [`greedy_c_graph`] polling a [`CancelToken`] once per selection
 /// round; `Err(Cancelled)` on a fired deadline, no partial state.
-pub fn greedy_c_graph_checked(
-    g: &UnitDiskGraph,
+pub fn greedy_c_graph_checked<G: NeighborSource + ?Sized>(
+    g: &G,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
     run_cover_graph(g, false, cancel)
 }
 
-/// Fast-C over a materialised graph: the lazy-update strategy (no
+/// Fast-C over any [`NeighborSource`]: the lazy-update strategy (no
 /// per-grey count cascades; a popped candidate is revalidated with one
 /// adjacency scan and re-queued if its key dropped). With exact CSR
 /// adjacency the revalidated keys are exact, so — unlike the
 /// tree-backed [`crate::fast_c`], whose truncated bottom-up climbs can
 /// leave counts stale — the solutions coincide with Greedy-C's.
-pub fn fast_c_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn fast_c_graph<G: NeighborSource + ?Sized>(g: &G) -> DiscResult {
     never_cancelled(run_cover_graph(g, true, None))
 }
 
 /// [`fast_c_graph`] polling a [`CancelToken`] once per selection round;
 /// `Err(Cancelled)` on a fired deadline, no partial state.
-pub fn fast_c_graph_checked(
-    g: &UnitDiskGraph,
+pub fn fast_c_graph_checked<G: NeighborSource + ?Sized>(
+    g: &G,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
     run_cover_graph(g, true, cancel)
 }
 
-fn run_cover_graph(
-    g: &UnitDiskGraph,
+fn run_cover_graph<G: NeighborSource + ?Sized>(
+    g: &G,
     lazy: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
@@ -400,11 +381,12 @@ fn select_and_cover_strat(
 /// over the neighbour source, mirroring
 /// [`crate::counts::greedy_white_pass`] (same counts, same
 /// [`LazyMaxHeap`] tie-breaking) with adjacency reads instead of range
-/// queries. One instantiation per neighbour shape: the fixed-radius
-/// prefix (zooming) and the `min(r(p), r(q))`-filtered prefix
-/// (multi-radius). `external` maps an internal id to its external one —
-/// it ranks the heap's tie-breaks and translates each selection before
-/// it is appended to `solution`.
+/// queries. One instantiation per neighbour shape: a
+/// [`NeighborSource`] row (Greedy-DisC, started all-white), the
+/// fixed-radius prefix (zooming) and the `min(r(p), r(q))`-filtered
+/// prefix (multi-radius). `external` maps an internal id to its
+/// external one — it ranks the heap's tie-breaks and translates each
+/// selection before it is appended to `solution`.
 fn greedy_white_pass_over<N, F, E>(
     n: usize,
     neighbors_of: F,
@@ -419,13 +401,20 @@ where
     E: Fn(ObjId) -> ObjId,
 {
     let mut white = color.iter().filter(|&&c| c == Color::White).count();
+    // Started all-white, every neighbour is white: the initial count is
+    // the row length (O(1) for slice-backed rows, no colour reads).
+    let all_white = white == n;
     let mut counts = vec![0u32; n];
     let mut heap = LazyMaxHeap::with_capacity(white);
     for id in 0..n {
         if color[id] == Color::White {
-            counts[id] = neighbors_of(id)
-                .filter(|&q| color[q] == Color::White)
-                .count() as u32;
+            counts[id] = if all_white {
+                neighbors_of(id).count() as u32
+            } else {
+                neighbors_of(id)
+                    .filter(|&q| color[q] == Color::White)
+                    .count() as u32
+            };
             heap.push_ranked(id, external(id), counts[id]);
         }
     }
@@ -831,6 +820,7 @@ mod tests {
     use crate::verify::{verify_coverage, verify_disc};
     use disc_datasets::synthetic::{clustered, uniform};
     use disc_graph::reference::{greedy_c_ref, greedy_disc_ref};
+    use disc_graph::UnitDiskGraph;
     use disc_mtree::{MTree, MTreeConfig};
     use proptest::prelude::*;
 

@@ -15,9 +15,12 @@
 //!
 //! * [`UnitDiskGraph::from_mtree`] — bulk-materialises the graph with
 //!   one M-tree [`range_self_join`](disc_mtree::MTree::range_self_join)
-//!   traversal. This is the production path: node-pair pruning computes
-//!   far fewer than `n(n−1)/2` distances, and once the CSR is resident
-//!   the selection heuristics run with **zero** further index queries.
+//!   traversal. Node-pair pruning computes far fewer than `n(n−1)/2`
+//!   distances, and once the CSR is resident the selection heuristics
+//!   run with **zero** further index queries. (The serving layer does
+//!   not build this graph: it selects on a
+//!   [`crate::StratifiedView`] of the snapshot's stratified graph, and
+//!   both implement [`crate::NeighborSource`].)
 //!   Prefer it whenever the edge list fits in memory (≈16 bytes per
 //!   edge transiently, 8 bytes per directed edge resident) and the
 //!   whole graph will be consumed — i.e. a full Greedy-DisC / Greedy-C

@@ -15,8 +15,10 @@
 //!   distance-annotated self-join at the largest radius of interest,
 //!   with per-row `(distance, id)`-sorted adjacency so the induced
 //!   subgraph at any smaller radius is a zero-cost prefix view
-//!   ([`StratifiedDiskGraph::view`]) — the substrate of the
-//!   graph-resident zooming and multi-radius runners in `disc-core`,
+//!   ([`StratifiedDiskGraph::view`]) — the substrate every
+//!   graph-resident runner in `disc-core` selects on,
+//! * [`NeighborSource`] — the adjacency interface those runners read,
+//!   implemented by the prefix view and by [`UnitDiskGraph`],
 //! * [`sets`] — the coverage/dominance and dissimilarity/independence
 //!   predicates of Definition 1,
 //! * [`exact`] — an exact branch-and-bound solver for the minimum
@@ -35,6 +37,7 @@ pub mod graph;
 pub mod jaccard;
 pub mod reference;
 pub mod sets;
+pub mod source;
 pub mod stratified;
 pub mod stream;
 
@@ -43,5 +46,6 @@ pub use exact::minimum_independent_dominating_set;
 pub use graph::UnitDiskGraph;
 pub use jaccard::jaccard_distance;
 pub use sets::{is_dominating, is_independent, is_independent_dominating};
+pub use source::NeighborSource;
 pub use stratified::{AssemblyBreakdown, StratifiedDiskGraph, StratifiedView};
 pub use stream::{InsertReceipt, RemoveReceipt, StreamError, StreamingCatalog};

@@ -51,15 +51,24 @@
 //! `zoom_graph_vs_tree` binary gates the bound. Both costs are the
 //! price of answering *every* radius from one build.
 //!
-//! ## When to prefer it
+//! ## Selecting on it
 //!
-//! * a **single** radius, consumed whole → [`UnitDiskGraph::from_mtree`]
-//!   (cheaper build, half the edge memory);
-//! * **several** radii below a known maximum — a zoom-in/zoom-out sweep,
-//!   multi-radius relevance weighting, or interactive radius tuning →
-//!   [`StratifiedDiskGraph::from_mtree`] once, then
-//!   [`StratifiedDiskGraph::view`] / [`StratifiedDiskGraph::row_within`]
-//!   per radius at zero additional distance computations.
+//! This is the one graph the serving path reads. A snapshot stores it,
+//! and every radius `r' ≤ r_max` is answered from it directly:
+//!
+//! * a fixed-radius selection (`disc_core`'s Greedy-DisC, Greedy-C and
+//!   Fast-C runners) reads a [`StratifiedView`], which implements
+//!   [`crate::NeighborSource`]. The view's per-row cutoffs cost one
+//!   binary search per row, once per radius;
+//! * the adaptive-radius runners (zooming, multiple radii) read
+//!   [`StratifiedDiskGraph::row_within`] prefixes and the annotated
+//!   distances directly.
+//!
+//! [`UnitDiskGraph`] stays the id-sorted reference: the all-pairs
+//! oracle the property tests compare views against, and the target of
+//! [`StratifiedView::to_unit_disk_graph`]. A single radius that never
+//! changes can still be built as a plain [`UnitDiskGraph::from_mtree`]
+//! (cheaper build, half the edge memory).
 
 use std::sync::Arc;
 
@@ -921,12 +930,19 @@ impl StratifiedView<'_> {
         (0..self.len()).map(|v| self.degree(v)).sum::<usize>() / 2
     }
 
-    /// Materialises the view as a plain [`UnitDiskGraph`] (rows
-    /// re-sorted by id). Pure array work — **zero** distance
-    /// computations — so a graph-resident pipeline can hand any radius
-    /// `r' ≤ r_max` to consumers expecting the id-sorted CSR (e.g.
-    /// `disc_core`'s `greedy_disc_graph`) without touching the index
-    /// again.
+    /// External id of vertex `v` (the underlying graph's permutation;
+    /// identity without one).
+    #[inline]
+    pub fn external_id(&self, v: ObjId) -> ObjId {
+        self.graph.external_id(v)
+    }
+
+    /// Copies the view into a plain [`UnitDiskGraph`] with rows
+    /// re-sorted by id — the **reference conversion**. No distance
+    /// computations, but a full copy of the edge set: the selection
+    /// runners read the view itself (it is a
+    /// [`crate::NeighborSource`]), so this exists for oracles and
+    /// tests that pin a view against an independently built graph.
     pub fn to_unit_disk_graph(&self) -> UnitDiskGraph {
         let mut edges = Vec::with_capacity(self.edge_count());
         for v in 0..self.len() {
