@@ -19,10 +19,12 @@
 //! 2. the graph-resident end-to-end run (self-join build + select) must
 //!    not exceed the tree-backed pruned run's distance computations;
 //! 3. graph-resident solutions must equal the tree-backed exact ones;
-//! 4. **parallel/serial parity** — the parallel self-join must charge
-//!    exactly the serial traversal's `distance_computations()`, emit a
-//!    byte-identical edge list, assemble a byte-identical sharded CSR,
-//!    and select the same solution (the `selfjoin_par` section).
+//! 4. **parallel/serial parity** — the parallel distance-annotated
+//!    self-join (the production traversal) must charge exactly the
+//!    serial traversal's `distance_computations()`, emit a
+//!    byte-identical edge list, assemble a byte-identical stratified
+//!    CSR at the parallel worker count, and select the same solution
+//!    (the `selfjoin_par` section).
 //!
 //! Usage: `cargo run --release -p disc-bench --bin fig_graph_vs_tree
 //! [-- <output-path>]` (default `BENCH_graph_vs_tree.json`). `GRAPH_N`
@@ -123,7 +125,7 @@ fn main() {
     );
     assert!(
         sj.csr_identical,
-        "sharded CSR assembly diverged from the serial assembly"
+        "multi-worker CSR assembly diverged from the one-worker assembly"
     );
     assert!(
         sj.solutions_identical,

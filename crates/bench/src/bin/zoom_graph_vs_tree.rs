@@ -9,10 +9,11 @@
 //!
 //! * **tree-backed** — the Section 5.2 operators (closest-black
 //!   preparation + pruned range queries at every step);
-//! * **graph-resident** — one distance-annotated self-join at `r_max`
-//!   builds a `StratifiedDiskGraph`; every radius of the sweep then
-//!   reads sorted-adjacency prefixes and the index is never touched
-//!   again.
+//! * **graph-resident** — the production build (`build_sharded_with`
+//!   at one shard, as `disc build --shards 1` runs it: one
+//!   distance-annotated self-join at `r_max` plus the stratified CSR
+//!   assembly); every radius of the sweep then reads sorted-adjacency
+//!   prefixes and the index is never touched again.
 //!
 //! The binary *fails* (non-zero exit) when:
 //!
@@ -27,8 +28,9 @@
 //!    `plain self-join + edges` (every annotated distance beyond the
 //!    plain traversal must belong to an emitted edge — the
 //!    inclusion-qualified pairs);
-//! 5. the annotated self-join or the sharded stratified assembly loses
-//!    serial/parallel parity (counters, edge bytes, CSR bytes);
+//! 5. the annotated self-join or the stratified assembly loses
+//!    serial/parallel parity (counters, edge bytes, CSR bytes), or the
+//!    production build's graph or join counters diverge from them;
 //! 6. the graph-resident zoom-out and multi-radius runners diverge from
 //!    their tree-backed counterparts on the same workload;
 //! 7. the snapshot round trip (save → checksum-validated load) is not
@@ -54,7 +56,8 @@
 //! [-- <output-path>]` (default `BENCH_zoom_graph.json`). `GRAPH_N`
 //! overrides the object count (CI smoke runs `GRAPH_N=2000`; the
 //! acceptance workload is 10_000). `SELF_JOIN_THREADS` forces the
-//! parallel side's worker/shard count (CI runs a 1/2/3/8 matrix).
+//! build's and the parity checks' worker count (CI runs a 1/2/3/8
+//! matrix).
 
 use disc_bench::{
     measure_serve, measure_store, measure_streaming, measure_zoom_graph_vs_tree,
@@ -62,7 +65,8 @@ use disc_bench::{
 };
 use disc_core::{
     greedy_disc, greedy_disc_graph, greedy_zoom_in_graph, greedy_zoom_out, multi_radius_basic_disc,
-    multi_radius_graph, multi_radius_greedy_disc, zoom_out_graph, GreedyVariant, ZoomOutVariant,
+    multi_radius_graph, multi_radius_greedy_disc, zoom_out_graph, DiscResult, GreedyVariant,
+    ZoomOutVariant,
 };
 use disc_datasets::synthetic::clustered;
 use disc_mtree::{MTree, MTreeConfig};
@@ -74,15 +78,15 @@ const TARGETS: [f64; 3] = [0.06, 0.04, 0.02];
 
 /// CSR-assembly regression gate, expressed as a ratio against the
 /// same run's annotated self-join instead of an absolute wall-clock:
-/// both phases stream the same edge set on the same host in the same
-/// process, so host speed, memory bandwidth, and contention cancel
-/// out of the quotient. The renumbered build's recorded acceptance
-/// ratio is ~3.8 (assembly 470ms / self-join 125ms at n = 10_000);
-/// the gate fails any acceptance run whose assembly exceeds 6× the
-/// self-join — a genuine assembly regression moves the ratio, a slow
-/// CI host moves both numerators. Smoke runs (`GRAPH_N` below
-/// 10_000) skip the gate: at small n both phases are sub-millisecond
-/// and the quotient is noise.
+/// the production build's merge + row-sort phases
+/// (`ShardedBuildStats::merge_ms + assembly_ms`) against its
+/// `intra_join_ms`. Both phases stream the same edge set on the same
+/// host in the same process, so host speed, memory bandwidth, and
+/// contention cancel out of the quotient. The gate fails any
+/// acceptance run whose assembly exceeds 6× the self-join — a genuine
+/// assembly regression moves the ratio, a slow CI host moves both
+/// numerators. Smoke runs (`GRAPH_N` below 10_000) skip the gate: at
+/// small n both phases are sub-millisecond and the quotient is noise.
 const ASSEMBLY_RATIO_LIMIT: f64 = 6.0;
 
 fn main() {
@@ -174,9 +178,13 @@ fn main() {
         m.annotated_edges_identical,
         "parallel annotated edge list diverged from the serial traversal"
     );
+    assert_eq!(
+        m.annotated_serial_dc, m.strat_build_dc,
+        "the production build's self-join counters diverged from the reference tree's"
+    );
     assert!(
         m.stratified_csr_identical,
-        "sharded stratified CSR diverged from the serial assembly"
+        "stratified CSR diverged between the serial, multi-worker and production assemblies"
     );
     if !smoke {
         // Both sweeps run in the same process on the same host, so the
@@ -205,29 +213,54 @@ fn main() {
     // (hundreds of reds) would turn this gate into the dominant cost of
     // the acceptance run.
     let strat = &m.strat;
-    // The measured graph is leaf-order renumbered; every graph-resident
-    // runner that also takes a tree needs the relabeled twin (same
-    // internal numbering as the graph). Rebuilding it is an O(n) id
-    // rewrite off the same deterministic leaf order.
-    let order = tree.objects_in_leaf_order_uncounted();
-    let tree2 = tree.relabeled(&m.data, &order);
+    // The measured graph is canonically renumbered; every
+    // graph-resident runner that also takes a tree needs a tree in the
+    // graph's internal numbering, built over the renumbered dataset.
+    // The plain zoom-out and basic multi-radius runners follow that
+    // tree's leaf order, so their reference is the tree-backed runner
+    // over the same tree, translated to external ids; the greedy
+    // runners never read a leaf order and compare against the original
+    // tree directly.
+    let tree2 = MTree::build(&m.data, MTreeConfig::default());
+    let external = |ids: Vec<usize>| -> Vec<usize> {
+        ids.into_iter().map(|v| m.data.external_id(v)).collect()
+    };
     let prev_small = greedy_disc(&tree, TARGETS[0], GreedyVariant::Grey, true);
+    let prev_small_internal = DiscResult {
+        solution: prev_small
+            .solution
+            .iter()
+            .map(|&e| m.data.internal_id(e))
+            .collect(),
+        ..prev_small.clone()
+    };
     for v in [
         ZoomOutVariant::Plain,
         ZoomOutVariant::GreedyA,
         ZoomOutVariant::GreedyB,
         ZoomOutVariant::GreedyC,
     ] {
-        let tree_z = greedy_zoom_out(&tree, &prev_small, R_MAX, v);
+        let tree_z = if v == ZoomOutVariant::Plain {
+            external(
+                greedy_zoom_out(&tree2, &prev_small_internal, R_MAX, v)
+                    .result
+                    .solution,
+            )
+        } else {
+            greedy_zoom_out(&tree, &prev_small, R_MAX, v)
+                .result
+                .solution
+        };
         let graph_z = zoom_out_graph(&tree2, strat, &prev_small, R_MAX, v);
         assert_eq!(
-            graph_z.result.solution, tree_z.result.solution,
+            graph_z.result.solution, tree_z,
             "zoom-out {v:?} diverged between graph and tree"
         );
     }
     let radii: Vec<f64> = (0..data.len())
         .map(|id| if id % 2 == 0 { TARGETS[1] } else { R_MAX })
         .collect();
+    let radii_internal: Vec<f64> = m.data.ids().map(|v| radii[m.data.external_id(v)]).collect();
     assert_eq!(
         multi_radius_graph(&tree2, strat, &radii, true).solution,
         multi_radius_greedy_disc(&tree, &radii, true).solution,
@@ -235,7 +268,7 @@ fn main() {
     );
     assert_eq!(
         multi_radius_graph(&tree2, strat, &radii, false).solution,
-        multi_radius_basic_disc(&tree, &radii, true).solution,
+        external(multi_radius_basic_disc(&tree2, &radii_internal, true).solution),
         "multi-radius basic diverged between graph and tree"
     );
     eprintln!("  zoom-out and multi-radius parity: ok");

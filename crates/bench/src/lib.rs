@@ -24,13 +24,13 @@ use disc_cli::serve::{ServeConfig, Server, Sink};
 use disc_cli::state::ServeState;
 use disc_cli::worker::{solution_hash, Op, Outcome, Reply, Request};
 use disc_core::{
-    greedy_c, greedy_c_graph, greedy_disc, greedy_disc_graph, greedy_zoom_in, greedy_zoom_in_graph,
-    GreedyVariant,
+    build_sharded_with, greedy_c, greedy_c_graph, greedy_disc, greedy_disc_graph, greedy_zoom_in,
+    greedy_zoom_in_graph, GreedyVariant, ShardedBuildConfig,
 };
 use disc_datasets::synthetic::{clustered, uniform};
 use disc_graph::{StratifiedDiskGraph, StreamingCatalog, UnitDiskGraph};
 use disc_metric::{Dataset, IdPermutation};
-use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_mtree::{DistEdge, MTree, MTreeConfig, SelfJoinConfig};
 
 /// Seed shared by all bench datasets.
 pub const BENCH_SEED: u64 = 77;
@@ -138,7 +138,8 @@ pub fn measure_graph_vs_tree(tree: &MTree<'_>, radius: f64) -> GraphVsTree {
     }
 }
 
-/// One serial-vs-parallel self-join build measurement (the
+/// One serial-vs-parallel build measurement of the production,
+/// distance-annotated self-join and its stratified CSR assembly (the
 /// `selfjoin_par` section of `BENCH_fig9.json` and
 /// `BENCH_graph_vs_tree.json`, shared so the two reports cannot drift).
 pub struct SelfJoinPar {
@@ -156,9 +157,9 @@ pub struct SelfJoinPar {
     /// case a "speedup" would compare the serial code against itself
     /// and is reported as `null` instead.
     pub short_circuited: bool,
-    /// Serial dual-tree traversal wall-clock (ms).
+    /// Serial annotated dual-tree traversal wall-clock (ms).
     pub serial_ms: f64,
-    /// Parallel dual-tree traversal wall-clock (ms).
+    /// Parallel annotated dual-tree traversal wall-clock (ms).
     pub parallel_ms: f64,
     /// Distance computations charged by the serial traversal.
     pub serial_dc: u64,
@@ -168,10 +169,13 @@ pub struct SelfJoinPar {
     /// Undirected edges found (identical on both sides by construction;
     /// `edges_identical` pins it).
     pub edges: usize,
-    /// Whether the two edge lists are byte-identical (set and order).
+    /// Whether the two edge lists are byte-identical (set, order and
+    /// distance annotations).
     pub edges_identical: bool,
-    /// Whether serial `from_edges` and sharded `from_edges_sharded`
-    /// assemble byte-identical CSR arrays (`offsets` and `neighbors`).
+    /// Whether the one-worker assembly of the serial edges and the
+    /// `threads`-worker assembly of the parallel edges produce
+    /// byte-identical stratified CSR arrays (`offsets`, `neighbors`,
+    /// `dists`).
     pub csr_identical: bool,
     /// Whether graph-resident Greedy-DisC picks the same solution on
     /// both graphs.
@@ -253,30 +257,34 @@ pub fn measure_selfjoin_par(
             .unwrap_or(1)
     });
 
-    // Warm both sides once (allocator pages, edge-buffer capacity)
-    // before timing: whichever side ran first used to pay the kernel's
-    // page-clearing for its freshly grown buffers, skewing a
-    // serial-vs-parallel comparison that should only see traversal
-    // cost.
-    let mut serial_edges = Vec::new();
-    tree.range_self_join_serial_into(radius, &mut serial_edges);
-    let mut parallel_edges = Vec::new();
-    tree.range_self_join_with_into(radius, SelfJoinConfig { threads }, &mut parallel_edges);
+    let join = |threads: usize| -> Vec<DistEdge> {
+        tree.range_self_join(radius, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius")
+    };
+    // Warm both sides once before timing (allocator state, code paths);
+    // both timed runs then allocate their output the same way, so
+    // neither side alone pays the first-touch page faults.
+    drop(join(1));
+    drop(join(threads));
 
     tree.reset_distance_computations();
     let t = Instant::now();
-    tree.range_self_join_serial_into(radius, &mut serial_edges);
+    let serial_edges = join(1);
     let serial_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let serial_dc = tree.reset_distance_computations();
 
     let t = Instant::now();
-    tree.range_self_join_with_into(radius, SelfJoinConfig { threads }, &mut parallel_edges);
+    let parallel_edges = join(threads);
     let parallel_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let parallel_dc = tree.reset_distance_computations();
 
-    let serial_graph = UnitDiskGraph::from_edges(tree.len(), radius, &serial_edges);
-    let sharded_graph =
-        UnitDiskGraph::from_edges_sharded(tree.len(), radius, &parallel_edges, threads);
+    let assemble = |edges: &[DistEdge], workers: usize| {
+        StratifiedDiskGraph::from_dist_edges(tree.len(), radius, &[edges], workers, None)
+            .expect("valid radius")
+            .0
+    };
+    let serial_graph = assemble(&serial_edges, 1);
+    let sharded_graph = assemble(&parallel_edges, threads);
 
     SelfJoinPar {
         threads,
@@ -292,11 +300,19 @@ pub fn measure_selfjoin_par(
         parallel_dc,
         edges: serial_edges.len(),
         edges_identical: serial_edges == parallel_edges,
-        csr_identical: serial_graph.offsets() == sharded_graph.offsets()
-            && serial_graph.neighbors_flat() == sharded_graph.neighbors_flat(),
-        solutions_identical: greedy_disc_graph(&serial_graph).solution
-            == greedy_disc_graph(&sharded_graph).solution,
+        csr_identical: same_csr(&serial_graph, &sharded_graph),
+        solutions_identical: greedy_disc_graph(&serial_graph.view(radius)).solution
+            == greedy_disc_graph(&sharded_graph.view(radius)).solution,
     }
+}
+
+/// Whether two stratified graphs hold byte-identical CSR arrays
+/// (`offsets`, `neighbors`, `dists`; the id permutation is not
+/// compared).
+fn same_csr(a: &StratifiedDiskGraph, b: &StratifiedDiskGraph) -> bool {
+    a.offsets() == b.offsets()
+        && a.neighbors_flat() == b.neighbors_flat()
+        && a.dists_flat() == b.dists_flat()
 }
 
 /// One graph-resident vs tree-backed **zooming** measurement: a
@@ -310,30 +326,35 @@ pub struct ZoomGraphVsTree {
     pub r_max: f64,
     /// The zoom-in targets below `r_max`, in sweep (descending) order.
     pub targets: Vec<f64>,
-    /// Worker/shard count of the annotated parity check.
+    /// Worker count of the production build and of the parity checks'
+    /// parallel side.
     pub threads: usize,
     /// Whether `threads` was forced (e.g. via `SELF_JOIN_THREADS`).
     pub forced: bool,
-    /// Distance computations of the one annotated `r_max` self-join +
-    /// stratified CSR assembly — the graph pipeline's *total*: the
-    /// sweep itself adds zero.
+    /// Distance computations of the production build's annotated
+    /// `r_max` self-join (`ShardedBuildStats::intra_join_dc` plus the
+    /// boundary joins, which are zero at one shard) — the graph
+    /// pipeline's *total*: the sweep itself adds zero.
     pub strat_build_dc: u64,
     /// Stratified build wall-clock (self-join + assembly).
     pub strat_build_ms: f64,
-    /// The annotated self-join traversal's share of the build.
+    /// The annotated self-join's share of the build
+    /// (`ShardedBuildStats::intra_join_ms`).
     pub strat_selfjoin_ms: f64,
-    /// The radix-sorted CSR assembly's share of the build.
+    /// The CSR assembly's share of the build: the merge plus the
+    /// radix-sorted row pass (`merge_ms + assembly_ms`).
     pub strat_assembly_ms: f64,
     /// Undirected edges of the stratified graph at `r_max`.
     pub strat_edges: usize,
-    /// Wall-clock of the leaf-order renumbering (order extraction,
-    /// dataset renumber, tree relabel). Kept outside `strat_build_ms`,
-    /// which remains self-join + assembly.
+    /// Wall-clock of the canonical renumbering (partition plus dataset
+    /// renumber). Kept outside `strat_build_ms`, which remains
+    /// self-join + assembly.
     pub renumber_ms: f64,
-    /// The leaf-order renumbered dataset the production build ran on.
+    /// The canonically renumbered dataset the production build ran on.
     /// It carries the internal↔external bijection `strat` shares, so
     /// callers persisting the build (`measure_store`) must pair `strat`
-    /// with this dataset, not the original one.
+    /// with this dataset, not the original one, and a tree-taking
+    /// runner needs a tree built over it.
     pub data: Dataset,
     /// The stratified graph itself (the timed production build), so
     /// callers needing further parity checks — e.g. the gated binary's
@@ -362,7 +383,9 @@ pub struct ZoomGraphVsTree {
     pub solutions_identical: bool,
     /// Solution size at `r_max` and after each zoom-in step.
     pub sizes: Vec<usize>,
-    /// Annotated self-join: serial distance computations.
+    /// Annotated self-join: serial distance computations over a tree
+    /// built on `data` (the parity gate requires equality with
+    /// `strat_build_dc`, i.e. the same tree the build joined).
     pub annotated_serial_dc: u64,
     /// Annotated self-join: forced-thread-count distance computations
     /// (the parity gate requires equality with the serial total).
@@ -370,8 +393,10 @@ pub struct ZoomGraphVsTree {
     /// Whether the serial and parallel annotated edge lists are
     /// byte-identical (order and f64 annotations included).
     pub annotated_edges_identical: bool,
-    /// Whether serial and sharded stratified CSR assembly agree byte
-    /// for byte (`offsets`, `neighbors` and `dists`).
+    /// Whether the one-worker assembly of the serial edges, the
+    /// `threads`-worker assembly of the parallel edges split into two
+    /// slices, and the production build agree byte for byte
+    /// (`offsets`, `neighbors` and `dists`).
     pub stratified_csr_identical: bool,
 }
 
@@ -383,11 +408,12 @@ impl ZoomGraphVsTree {
     }
 
     /// The CI parity gate: identical solutions at every radius, exact
-    /// annotated counter parity, byte-identical annotated edges and
-    /// stratified CSR.
+    /// annotated counter parity (serial, parallel and the production
+    /// build), byte-identical annotated edges and stratified CSR.
     pub fn parity(&self) -> bool {
         self.solutions_identical
             && self.annotated_serial_dc == self.annotated_parallel_dc
+            && self.annotated_serial_dc == self.strat_build_dc
             && self.annotated_edges_identical
             && self.stratified_csr_identical
     }
@@ -452,10 +478,11 @@ impl ZoomGraphVsTree {
 
 /// Measures a chained zoom-in sweep (Greedy-DisC at `r_max`, then
 /// Greedy-Zoom-In to each target radius in order) once graph-resident —
-/// one stratified build, zero index work afterwards — and once
-/// tree-backed, cross-checking byte-identical solutions at every step
-/// plus the serial/parallel determinism of the annotated pipeline.
-/// `forced_threads` overrides the worker/shard count (CI's
+/// one production build (`build_sharded_with` at one shard, exactly
+/// `disc build --shards 1`), zero index work afterwards — and once
+/// tree-backed on `tree`, cross-checking byte-identical solutions at
+/// every step plus the serial/parallel determinism of the annotated
+/// pipeline. `forced_threads` overrides the worker count (CI's
 /// `SELF_JOIN_THREADS` matrix). Resets (and so consumes) the tree's
 /// distance-computation and node-access counters.
 pub fn measure_zoom_graph_vs_tree(
@@ -474,63 +501,46 @@ pub fn measure_zoom_graph_vs_tree(
             .unwrap_or(1)
     });
 
-    // Leaf-order renumbering: the production build runs on a
-    // renumbered dataset and relabeled tree whose leaf order is the
-    // identity, so the annotated self-join emits endpoints in
-    // near-row order and CSR fill walks warm cache lines. Solutions
-    // stay in external ids on both sides (the graph carries the
-    // bijection and the runners translate at the boundary).
-    let t = Instant::now();
-    let order = tree.objects_in_leaf_order_uncounted();
-    let data2 = tree.data().renumbered(&order);
-    let tree2 = tree.relabeled(&data2, &order);
-    let renumber_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    // Timed production build, attributed per phase by its own stats.
+    let config = ShardedBuildConfig {
+        threads: forced_threads.unwrap_or(0),
+        ..ShardedBuildConfig::default()
+    };
+    let build = build_sharded_with(tree.data(), r_max, 1, config, None).expect("valid radius");
+    let stats = build.stats;
 
-    // Annotated serial/parallel parity (edge lists, counters, CSR) on
-    // the renumbered tree — the pipeline the production build uses.
+    // Annotated serial/parallel parity (edge lists, counters, CSR) on a
+    // tree over the renumbered dataset. One shard builds
+    // `build_range(data, config.tree, 0..n)`, which is byte-identical to
+    // this tree, so its counters are the build's (`parity` checks it).
+    let tree2 = MTree::build(&build.data, config.tree);
     tree2.reset_distance_computations();
-    let serial_edges = tree2.range_self_join_dist_serial(r_max);
+    let join = |threads: usize| -> Vec<DistEdge> {
+        tree2
+            .range_self_join(r_max, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius")
+    };
+    let serial_edges = join(1);
     let annotated_serial_dc = tree2.reset_distance_computations();
-    let par_edges = tree2.range_self_join_dist_with(r_max, SelfJoinConfig { threads });
+    let par_edges = join(threads);
     let annotated_parallel_dc = tree2.reset_distance_computations();
-    let serial_strat = StratifiedDiskGraph::from_dist_edges(tree2.len(), r_max, &serial_edges);
-    let sharded_strat =
-        StratifiedDiskGraph::from_dist_edges_sharded(tree2.len(), r_max, &par_edges, threads);
+    let assemble = |slices: &[&[DistEdge]], workers: usize| {
+        StratifiedDiskGraph::from_dist_edges(tree2.len(), r_max, slices, workers, None)
+            .expect("valid radius")
+            .0
+    };
+    let serial_strat = assemble(&[&serial_edges], 1);
+    let (head, tail) = par_edges.split_at(par_edges.len() / 2);
+    let sharded_strat = assemble(&[head, tail], threads);
     let annotated_edges_identical = serial_edges == par_edges;
-    let stratified_csr_identical = serial_strat.offsets() == sharded_strat.offsets()
-        && serial_strat.neighbors_flat() == sharded_strat.neighbors_flat()
-        && serial_strat.dists_flat() == sharded_strat.dists_flat();
-    // Free the parity transients before timing the production build:
-    // several hundred MB of live edge lists and graphs would otherwise
-    // push the build onto freshly faulted kernel pages and bill the
-    // page-clearing to the build (it roughly doubled the recorded
-    // wall clock at n = 10k).
-    drop(serial_strat);
-    drop(sharded_strat);
-    drop(serial_edges);
-    drop(par_edges);
-
-    // Timed production build — `StratifiedDiskGraph::from_mtree`'s two
-    // phases, driven through the same entry points it uses
-    // (`range_self_join_dist` + `from_dist_edges_auto`) so the
-    // annotated traversal and the radix-sorted CSR assembly are
-    // attributed separately without duplicating its dispatch.
-    tree2.reset_distance_computations();
-    let t = Instant::now();
-    let edges = tree2.range_self_join_dist(r_max);
-    let strat_selfjoin_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let t = Instant::now();
-    let strat = StratifiedDiskGraph::from_dist_edges_auto(tree2.len(), r_max, &edges);
-    let strat_assembly_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    drop(edges);
-    // The bijection rides on the graph (outside the timed phases; the
-    // sweep below externalises every solution id through it).
-    let strat = strat.with_permutation(data2.permutation().cloned());
-    let strat_build_ms = strat_selfjoin_ms + strat_assembly_ms;
-    let strat_build_dc = tree2.reset_distance_computations();
+    let stratified_csr_identical =
+        same_csr(&serial_strat, &sharded_strat) && same_csr(&serial_strat, &build.graph);
+    drop((serial_strat, sharded_strat, serial_edges, par_edges));
 
     // Plain self-join reference (annotation surcharge bookkeeping).
-    let _ = tree2.range_self_join(r_max);
+    let _: Vec<(usize, usize)> = tree2
+        .range_self_join(r_max, SelfJoinConfig::default())
+        .expect("valid radius");
     let plain_selfjoin_dc = tree2.reset_distance_computations();
 
     // Tree-backed sweep (original numbering; solutions are external
@@ -550,12 +560,13 @@ pub fn measure_zoom_graph_vs_tree(
     let tree_sweep_accesses = tree.reset_node_accesses();
 
     // Graph-resident sweep: everything reads the stratified graph.
+    let strat = &build.graph;
     let t = Instant::now();
     let mut graph_sols: Vec<Vec<usize>> = Vec::new();
     let mut prev_g = greedy_disc_graph(&strat.view(r_max));
     graph_sols.push(prev_g.solution.clone());
     for &r_new in targets {
-        prev_g = greedy_zoom_in_graph(&strat, &prev_g, r_new).result;
+        prev_g = greedy_zoom_in_graph(strat, &prev_g, r_new).result;
         graph_sols.push(prev_g.solution.clone());
     }
     let graph_sweep_ms = t.elapsed().as_secs_f64() * 1_000.0;
@@ -563,20 +574,22 @@ pub fn measure_zoom_graph_vs_tree(
     let graph_sweep_extra_dc =
         tree.reset_distance_computations() + tree2.reset_distance_computations();
     drop(tree2);
+    let strat_selfjoin_ms = stats.intra_join_ms;
+    let strat_assembly_ms = stats.merge_ms + stats.assembly_ms;
 
     ZoomGraphVsTree {
         r_max,
         targets: targets.to_vec(),
         threads,
         forced: forced_threads.is_some(),
-        strat_build_dc,
-        strat_build_ms,
+        strat_build_dc: stats.intra_join_dc + stats.boundary_join_dc,
+        strat_build_ms: strat_selfjoin_ms + strat_assembly_ms,
         strat_selfjoin_ms,
         strat_assembly_ms,
-        strat_edges: strat.edge_count(),
-        renumber_ms,
-        data: data2,
-        strat,
+        strat_edges: stats.edges,
+        renumber_ms: stats.partition_ms + stats.renumber_ms,
+        data: build.data,
+        strat: build.graph,
         graph_sweep_extra_dc,
         graph_sweep_ms,
         plain_selfjoin_dc,
@@ -1030,11 +1043,10 @@ pub fn measure_streaming(
     )
     .with_permutation(Some(Arc::new(perm)));
     let tree = MTree::build(&rebuilt_data, MTreeConfig::default());
-    let rebuilt = StratifiedDiskGraph::from_mtree_checked(
+    let rebuilt = StratifiedDiskGraph::from_mtree(
         &tree,
         graph.radius(),
         SelfJoinConfig::with_threads(self_join_threads_from_env().unwrap_or(0)),
-        None,
     )
     .expect("self-join over a clean dataset");
     let rebuild_ms = t.elapsed().as_secs_f64() * 1_000.0;

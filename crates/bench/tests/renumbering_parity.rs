@@ -1,12 +1,19 @@
-//! Renumbering transparency: leaf-order renumbering is an internal
-//! cache-layout change, so every graph-resident runner must produce
-//! byte-identical solutions — in *external* ids — before and after it,
-//! and the renumbered snapshot must round-trip byte-identically, under
-//! all four metrics and every self-join thread/shard count CI pins
-//! (1, 2, 3, 8).
+//! Renumbering transparency: the production build's canonical
+//! renumbering (`build_sharded`) is an internal cache-layout change, so
+//! every graph-resident runner must produce byte-identical solutions —
+//! in *external* ids — before and after it, and the renumbered snapshot
+//! must round-trip byte-identically, under all four metrics and every
+//! build thread count CI pins (1, 2, 3, 8).
+//!
+//! Runners that read a tree's leaf order (plain zoom-out, basic
+//! multi-radius) follow whichever tree they are handed, and a tree over
+//! the renumbered dataset has its own leaf order. Those are pinned
+//! against the tree-backed runner over the *same* tree instead,
+//! translated to external ids.
 
 use disc_core::{
-    greedy_c_graph, greedy_disc_graph, greedy_zoom_in_graph, multi_radius_graph, zoom_out_graph,
+    build_sharded_with, greedy_c_graph, greedy_disc_graph, greedy_zoom_in_graph, greedy_zoom_out,
+    multi_radius_basic_disc, multi_radius_graph, zoom_out_graph, DiscResult, ShardedBuildConfig,
     ZoomOutVariant,
 };
 use disc_graph::StratifiedDiskGraph;
@@ -35,22 +42,24 @@ fn radii(metric: Metric) -> (f64, f64) {
     }
 }
 
-/// Every graph-resident runner's outputs on `strat` (solutions leave
-/// the runners in external ids regardless of the graph's numbering).
-fn all_runner_outputs(tree: &MTree<'_>, strat: &StratifiedDiskGraph) -> Vec<Vec<usize>> {
+/// Solutions of the runners that never read a tree's leaf order
+/// (they leave the runners in external ids regardless of the graph's
+/// numbering).
+fn tree_free_outputs(tree: &MTree<'_>, strat: &StratifiedDiskGraph) -> Vec<Vec<usize>> {
     let (r_max, r_small) = radii(tree.data().metric());
     let mut outputs = Vec::new();
 
-    let at_max = greedy_disc_graph(&strat.view(r_max).to_unit_disk_graph());
+    let at_max = greedy_disc_graph(&strat.view(r_max));
     outputs.push(at_max.solution.clone());
-    outputs.push(greedy_c_graph(&strat.view(r_max).to_unit_disk_graph()).solution);
+    outputs.push(greedy_c_graph(&strat.view(r_max)).solution);
+    outputs.push(
+        greedy_zoom_in_graph(strat, &at_max, r_small)
+            .result
+            .solution,
+    );
 
-    let zoomed_in = greedy_zoom_in_graph(strat, &at_max, r_small).result;
-    outputs.push(zoomed_in.solution.clone());
-
-    let at_small = greedy_disc_graph(&strat.view(r_small).to_unit_disk_graph());
+    let at_small = greedy_disc_graph(&strat.view(r_small));
     for variant in [
-        ZoomOutVariant::Plain,
         ZoomOutVariant::GreedyA,
         ZoomOutVariant::GreedyB,
         ZoomOutVariant::GreedyC,
@@ -61,14 +70,59 @@ fn all_runner_outputs(tree: &MTree<'_>, strat: &StratifiedDiskGraph) -> Vec<Vec<
                 .solution,
         );
     }
-
-    let per_object: Vec<f64> = (0..strat.len())
-        .map(|external| if external % 2 == 0 { r_small } else { r_max })
-        .collect();
-    outputs.push(multi_radius_graph(tree, strat, &per_object, true).solution);
-    outputs.push(multi_radius_graph(tree, strat, &per_object, false).solution);
-
+    outputs.push(multi_radius_graph(tree, strat, &per_object(tree), true).solution);
     outputs
+}
+
+/// Per-object radii, indexed by external id.
+fn per_object(tree: &MTree<'_>) -> Vec<f64> {
+    let (r_max, r_small) = radii(tree.data().metric());
+    (0..tree.len())
+        .map(|external| if external % 2 == 0 { r_small } else { r_max })
+        .collect()
+}
+
+/// The leaf-order runners on `(tree, strat)`, each paired with the
+/// tree-backed runner over the same tree translated to external ids.
+fn leaf_order_outputs(
+    tree: &MTree<'_>,
+    strat: &StratifiedDiskGraph,
+) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let data = tree.data();
+    let (r_max, r_small) = radii(data.metric());
+    let external =
+        |ids: Vec<usize>| -> Vec<usize> { ids.into_iter().map(|v| data.external_id(v)).collect() };
+    let at_small = greedy_disc_graph(&strat.view(r_small));
+    let at_small_internal = DiscResult {
+        solution: at_small
+            .solution
+            .iter()
+            .map(|&e| data.internal_id(e))
+            .collect(),
+        ..at_small.clone()
+    };
+    let plain = ZoomOutVariant::Plain;
+    let radii_external = per_object(tree);
+    let radii_internal: Vec<f64> = data
+        .ids()
+        .map(|v| radii_external[data.external_id(v)])
+        .collect();
+    vec![
+        (
+            zoom_out_graph(tree, strat, &at_small, r_max, plain)
+                .result
+                .solution,
+            external(
+                greedy_zoom_out(tree, &at_small_internal, r_max, plain)
+                    .result
+                    .solution,
+            ),
+        ),
+        (
+            multi_radius_graph(tree, strat, &radii_external, false).solution,
+            external(multi_radius_basic_disc(tree, &radii_internal, true).solution),
+        ),
+    ]
 }
 
 #[test]
@@ -86,32 +140,46 @@ fn renumbering_preserves_every_runner_and_the_snapshot_round_trip() {
         );
         let (r_max, _) = radii(metric);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let order = tree.objects_in_leaf_order_uncounted();
-        let data2 = data.renumbered(&order);
-        let tree2 = tree.relabeled(&data2, &order);
 
         let mut snapshots: Vec<Vec<u8>> = Vec::new();
         for threads in THREAD_COUNTS {
-            let config = SelfJoinConfig::with_threads(threads);
-            let strat = StratifiedDiskGraph::from_mtree_checked(&tree, r_max, config, None)
-                .expect("original build");
-            let strat2 = StratifiedDiskGraph::from_mtree_checked(&tree2, r_max, config, None)
-                .expect("renumbered build");
+            let strat = StratifiedDiskGraph::from_mtree(
+                &tree,
+                r_max,
+                SelfJoinConfig::with_threads(threads),
+            )
+            .expect("original build");
+            let config = ShardedBuildConfig {
+                threads,
+                ..ShardedBuildConfig::default()
+            };
+            let build = build_sharded_with(&data, r_max, 1, config, None).expect("sharded build");
+            let (data2, strat2) = (&build.data, &build.graph);
+            let tree2 = MTree::build(data2, MTreeConfig::default());
             assert!(
                 strat2.permutation().is_some(),
-                "{metric:?}: leaf order left the corpus unrenumbered"
+                "{metric:?}: the canonical order left the corpus unrenumbered"
             );
 
             assert_eq!(
-                all_runner_outputs(&tree, &strat),
-                all_runner_outputs(&tree2, &strat2),
+                tree_free_outputs(&tree, &strat),
+                tree_free_outputs(&tree2, strat2),
                 "{metric:?} threads={threads}: a runner's external-id \
                  solution changed under renumbering"
             );
+            for (t, s) in [(&tree, &strat), (&tree2, strat2)] {
+                for (graph, tree_backed) in leaf_order_outputs(t, s) {
+                    assert_eq!(
+                        graph, tree_backed,
+                        "{metric:?} threads={threads}: a leaf-order runner \
+                         diverged from the tree-backed one"
+                    );
+                }
+            }
 
             // The renumbered snapshot round-trips byte-identically and
             // the loaded pair reproduces the same external solutions.
-            let bytes = disc_store::encode(&data2, &strat2).expect("encode");
+            let bytes = disc_store::encode(data2, strat2).expect("encode");
             let (loaded_data, loaded_graph) = disc_store::decode(&bytes).expect("decode");
             assert_eq!(
                 disc_store::encode(&loaded_data, &loaded_graph).expect("re-encode"),
@@ -119,15 +187,20 @@ fn renumbering_preserves_every_runner_and_the_snapshot_round_trip() {
                 "{metric:?} threads={threads}: snapshot round trip not byte-identical"
             );
             assert_eq!(
-                all_runner_outputs(&tree2, &loaded_graph),
-                all_runner_outputs(&tree2, &strat2),
+                tree_free_outputs(&tree2, &loaded_graph),
+                tree_free_outputs(&tree2, strat2),
+                "{metric:?} threads={threads}: loaded graph diverged from built graph"
+            );
+            assert_eq!(
+                leaf_order_outputs(&tree2, &loaded_graph),
+                leaf_order_outputs(&tree2, strat2),
                 "{metric:?} threads={threads}: loaded graph diverged from built graph"
             );
             snapshots.push(bytes);
         }
         assert!(
             snapshots.windows(2).all(|w| w[0] == w[1]),
-            "{metric:?}: snapshot bytes differ across SELF_JOIN_THREADS"
+            "{metric:?}: snapshot bytes differ across build thread counts"
         );
     }
 }

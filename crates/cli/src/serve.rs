@@ -540,10 +540,14 @@ pub fn parse_line(line: &str) -> Result<LineCmd, String> {
 /// Runs the full serve loop over a line stream: banner, submit loop,
 /// drain, final stats. This is `disc serve` minus the arg parsing —
 /// tests drive it with in-memory readers and writers.
+///
+/// Lines are read as bytes: a line that is not valid UTF-8 gets the
+/// same typed `parse` error reply as any other malformed line, and the
+/// loop keeps serving.
 pub fn run_lines(
     state: Arc<ServeState>,
     config: ServeConfig,
-    input: impl BufRead,
+    mut input: impl BufRead,
     sink: Arc<dyn Sink>,
 ) -> Result<CounterSnapshot, CliError> {
     sink.info(&format!(
@@ -557,12 +561,18 @@ pub fn run_lines(
         config.cache,
     ));
     let server = Server::start(state, config, Arc::clone(&sink));
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        if input.read_until(b'\n', &mut bytes)? == 0 {
+            break;
         }
-        match parse_line(&line) {
+        let parsed = match std::str::from_utf8(&bytes) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_line(line),
+            Err(_) => Err("line is not valid UTF-8".to_string()),
+        };
+        match parsed {
             Ok(LineCmd::Request(req)) => server.submit(req),
             Ok(LineCmd::Stats) => sink.info(&render_stats(&server.counters())),
             Ok(LineCmd::Quit) => break,

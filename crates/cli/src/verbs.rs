@@ -40,9 +40,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// solution and wire hash stays in external ids.
 ///
 /// The snapshot is **byte-identical at every `--shards` value** and at
-/// every worker count (`SELF_JOIN_THREADS` forces the worker count
-/// when the `parallel` feature is compiled in; CI pins both with
-/// sha256 matrices).
+/// every worker count (`SELF_JOIN_THREADS` forces the worker count;
+/// CI pins both with sha256 matrices).
 fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     if !(build.radius.is_finite() && build.radius > 0.0) {
         return Err(CliError::Usage(format!(

@@ -12,20 +12,23 @@
 //!   from cache when the radius was answered before;
 //! - served solutions are byte-identical to the in-process
 //!   graph-resident runners at every radius, including through the
-//!   stdin/stdout line protocol.
+//!   stdin/stdout line protocol;
+//! - no input line — malformed, empty or not even UTF-8 — stops the
+//!   line protocol: each bad line gets one typed parse error.
 
 use std::io::Cursor;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use disc_cli::error::CliError;
-use disc_cli::serve::{parse_line, run_lines, LineCmd, ServeConfig, Server, Sink};
+use disc_cli::serve::{parse_line, run_lines, CounterSnapshot, LineCmd, ServeConfig, Server, Sink};
 use disc_cli::state::ServeState;
 use disc_cli::worker::{solution_hash, Op, Outcome, Reply, Request};
 use disc_core::{greedy_disc_graph, greedy_zoom_in_graph};
 use disc_graph::StratifiedDiskGraph;
 use disc_store::fault::{corrupt, Fault};
 use disc_store::SectionId;
+use proptest::prelude::*;
 
 const R_MAX: f64 = 0.3;
 
@@ -774,4 +777,93 @@ fn mutation_drift_accumulates_into_the_stats_counter() {
         disc_cli::serve::render_stats(&snap).contains("\"drift\":3"),
         "the stats line carries the cumulative drift"
     );
+}
+
+// ------------------------------------------------------------------
+// Byte-level input: no line can stop the loop.
+// ------------------------------------------------------------------
+
+/// Runs the line protocol over raw bytes and returns the final counters
+/// and every emitted line.
+fn serve_bytes(state: Arc<ServeState>, input: Vec<u8>) -> (CounterSnapshot, Vec<String>) {
+    let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::new(disc_cli::serve::JsonSink::new(Arc::clone(&out)));
+    let config = ServeConfig {
+        workers: 2,
+        queue: 64,
+        cache: 8,
+    };
+    let snap = run_lines(state, config, Cursor::new(input), sink).expect("serve loop runs");
+    let text = String::from_utf8(out.lock().expect("out lock").clone()).expect("output is utf8");
+    (snap, text.lines().map(str::to_owned).collect())
+}
+
+/// One snapshot opened once and shared by every property case.
+fn shared_state() -> Arc<ServeState> {
+    static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
+    Arc::clone(STATE.get_or_init(|| open("random-bytes")))
+}
+
+fn count_op(lines: &[String], op: &str) -> usize {
+    let tag = format!("\"op\":\"{op}\"");
+    lines.iter().filter(|l| l.contains(&tag)).count()
+}
+
+#[test]
+fn non_utf8_line_is_a_parse_error_and_serving_continues() {
+    let input = b"id=1 zoom r=0.05\n\xff\xfe\nid=2 zoom r=0.04\nstats\nquit\n".to_vec();
+    let (snap, lines) = serve_bytes(open("non-utf8"), input);
+    assert_eq!(snap.submitted, 2, "{lines:?}");
+    assert_eq!(snap.completed, 2, "{lines:?}");
+    assert!(snap.is_consistent(), "{snap:?}");
+    assert_eq!(count_op(&lines, "parse"), 1, "{lines:?}");
+    assert_eq!(
+        count_op(&lines, "zoom"),
+        2,
+        "both requests answered: {lines:?}"
+    );
+    // The `stats` command and the final stats after the drain.
+    assert_eq!(count_op(&lines, "stats"), 2, "{lines:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Random byte lines, mixed with valid zoom requests, never stop the
+    /// loop: every malformed or non-UTF-8 line gets exactly one typed
+    /// parse error, every valid request is submitted, and the final
+    /// counters satisfy the bookkeeping identities.
+    #[test]
+    fn random_byte_lines_get_one_typed_error_each(
+        raw in prop::collection::vec(prop::collection::vec(0u8..=255, 0..16), 1..24),
+    ) {
+        let mut input = Vec::new();
+        let (mut want_errors, mut want_submitted) = (0u64, 0u64);
+        for (k, bytes) in raw.iter().enumerate() {
+            let line: Vec<u8> = if bytes.first().is_some_and(|b| b % 3 == 0) {
+                format!("id={k} zoom r=0.1").into_bytes()
+            } else {
+                bytes.iter().map(|&b| if b == b'\n' { b'?' } else { b }).collect()
+            };
+            match std::str::from_utf8(&line) {
+                Err(_) => want_errors += 1,
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => match parse_line(text) {
+                    Ok(LineCmd::Request(_)) => want_submitted += 1,
+                    Ok(LineCmd::Quit) => {
+                        input.extend_from_slice(&line);
+                        input.push(b'\n');
+                        break;
+                    }
+                    Ok(LineCmd::Stats) => {}
+                    Err(_) => want_errors += 1,
+                },
+            }
+            input.extend_from_slice(&line);
+            input.push(b'\n');
+        }
+        let (snap, lines) = serve_bytes(shared_state(), input);
+        prop_assert_eq!(count_op(&lines, "parse") as u64, want_errors, "{:?}", lines);
+        prop_assert_eq!(snap.submitted, want_submitted, "{:?}", lines);
+        prop_assert!(snap.is_consistent(), "{:?}", snap);
+    }
 }

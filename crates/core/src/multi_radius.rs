@@ -267,7 +267,7 @@ mod tests {
     use crate::basic::{basic_disc, BasicOrder};
     use crate::greedy::{greedy_disc, GreedyVariant};
     use disc_datasets::synthetic::clustered;
-    use disc_mtree::MTreeConfig;
+    use disc_mtree::{MTreeConfig, SelfJoinConfig};
     use proptest::prelude::*;
 
     /// Radii: fine near the origin (relevant region), coarse elsewhere.
@@ -385,7 +385,7 @@ mod tests {
             let udg = UnitDiskGraph::from_mtree(&tree, r);
             prop_assert_eq!(&greedy_disc_graph(&udg).solution, &plain_g.solution);
             // ... and the graph-resident multi-radius path coincide.
-            let strat = StratifiedDiskGraph::from_mtree(&tree, r);
+            let strat = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default()).expect("valid radius");
             prop_assert_eq!(
                 &multi_radius_graph(&tree, &strat, &radii, true).solution,
                 &plain_g.solution

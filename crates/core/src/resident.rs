@@ -91,9 +91,8 @@
 //! (via [`LazyMaxHeap::push_ranked`]), so solutions are byte-identical
 //! in external numbering whether or not the graph was renumbered. The
 //! `&MTree` passed alongside a renumbered graph must share the graph's
-//! internal numbering (i.e. be the [`MTree::relabeled`] tree) — its leaf
-//! order is then exactly `0..n`, so the leaf-order passes degrade into
-//! sequential row scans.
+//! internal numbering, i.e. be built over the renumbered dataset (for a
+//! [`crate::build_sharded`] build, `MTree::build(&build.data, …)`).
 
 use disc_graph::{NeighborSource, StratifiedDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
@@ -821,7 +820,7 @@ mod tests {
     use disc_datasets::synthetic::{clustered, uniform};
     use disc_graph::reference::{greedy_c_ref, greedy_disc_ref};
     use disc_graph::UnitDiskGraph;
-    use disc_mtree::{MTree, MTreeConfig};
+    use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
     use proptest::prelude::*;
 
     #[test]
@@ -905,7 +904,8 @@ mod tests {
         let data = clustered(400, 2, 5, 84);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         let r = 0.1;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         for r_new in [0.08, 0.05, 0.02] {
             let tree_z = zoom_in(&tree, &prev, r_new);
@@ -935,7 +935,8 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         let r = 0.04;
         let r_new = 0.1;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_new);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r_new, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         for v in [
             ZoomOutVariant::Plain,
@@ -973,7 +974,8 @@ mod tests {
             })
             .collect();
         let r_max = radii.iter().cloned().fold(0.0, f64::max);
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_max);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default())
+            .expect("valid radius");
         for pruned in [true, false] {
             assert_eq!(
                 multi_radius_graph(&tree, &g, &radii, false).solution,
@@ -1000,7 +1002,8 @@ mod tests {
         let data = clustered(300, 2, 4, 87);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         let r = 0.09;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         tree.reset_node_accesses();
         tree.reset_distance_computations();
@@ -1028,30 +1031,48 @@ mod tests {
     fn zoom_in_graph_rejects_undersized_graph() {
         let data = uniform(80, 2, 88);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 0.05);
+        let g = StratifiedDiskGraph::from_mtree(&tree, 0.05, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, 0.2, GreedyVariant::Grey, true);
         let _ = greedy_zoom_in_graph(&g, &prev, 0.1);
     }
 
     #[test]
     fn renumbered_graph_reproduces_external_solutions() {
-        // Leaf-order renumbering must be invisible in external ids:
-        // every runner, fed the renumbered dataset/tree/graph, returns
-        // byte-identical solutions to its run on the original numbering.
+        // The production build's canonical renumbering must be
+        // invisible in external ids. Runners that never read a tree's
+        // leaf order return byte-identical solutions on both
+        // numberings; the leaf-order runners (basic zoom-in, plain
+        // zoom-out, basic multi-radius) follow the tree they are given,
+        // so on the renumbered side they must equal the tree-backed
+        // runner over the same renumbered tree, translated to external
+        // ids.
+        use crate::multi_radius::multi_radius_basic_disc;
         use crate::zoom_in::{greedy_zoom_in, zoom_in};
         use crate::zoom_out::greedy_zoom_out;
         let data = clustered(400, 2, 5, 89);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-        let order: Vec<ObjId> = tree.objects_in_leaf_order_uncounted();
-        let data2 = tree.data().renumbered(&order);
-        let tree2 = tree.relabeled(&data2, &order);
         let r = 0.06;
+        let r_max = 0.1;
+        let build = crate::build_sharded(&data, r_max, 1).expect("valid radius");
+        let data2 = &build.data;
+        let tree2 = MTree::build(data2, MTreeConfig::with_capacity(10));
+        let external =
+            |ids: &[ObjId]| -> Vec<ObjId> { ids.iter().map(|&v| data2.external_id(v)).collect() };
+        let internal = |prev: &DiscResult| DiscResult {
+            solution: prev
+                .solution
+                .iter()
+                .map(|&e| data2.internal_id(e))
+                .collect(),
+            ..prev.clone()
+        };
 
         let g = UnitDiskGraph::from_mtree(&tree, r);
         let g2 = UnitDiskGraph::from_mtree(&tree2, r);
         assert!(
             g2.permutation().is_some(),
-            "leaf order is not identity here"
+            "canonical order is not identity here"
         );
         assert_eq!(
             greedy_disc_graph(&g).solution,
@@ -1060,41 +1081,52 @@ mod tests {
         assert_eq!(greedy_c_graph(&g).solution, greedy_c_graph(&g2).solution);
         assert_eq!(fast_c_graph(&g).solution, fast_c_graph(&g2).solution);
 
-        let r_max = 0.1;
-        let s = StratifiedDiskGraph::from_mtree(&tree, r_max);
-        let s2 = StratifiedDiskGraph::from_mtree(&tree2, r_max);
+        let s = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default())
+            .expect("valid radius");
+        let s2 = &build.graph;
         let prev = greedy_disc(&tree, r_max, GreedyVariant::Grey, true);
         for r_new in [0.07, 0.03] {
             assert_eq!(
                 zoom_in_graph(&tree, &s, &prev, r_new).result.solution,
-                zoom_in_graph(&tree2, &s2, &prev, r_new).result.solution,
+                zoom_in(&tree, &prev, r_new).result.solution,
                 "zoom-in r'={r_new}"
             );
             assert_eq!(
-                zoom_in_graph(&tree2, &s2, &prev, r_new).result.solution,
-                zoom_in(&tree, &prev, r_new).result.solution,
-                "zoom-in vs tree-backed r'={r_new}"
+                zoom_in_graph(&tree2, s2, &prev, r_new).result.solution,
+                external(&zoom_in(&tree2, &internal(&prev), r_new).result.solution),
+                "renumbered zoom-in vs tree-backed r'={r_new}"
             );
             assert_eq!(
                 greedy_zoom_in_graph(&s, &prev, r_new).result.solution,
-                greedy_zoom_in_graph(&s2, &prev, r_new).result.solution,
+                greedy_zoom_in_graph(s2, &prev, r_new).result.solution,
                 "greedy zoom-in r'={r_new}"
             );
             assert_eq!(
-                greedy_zoom_in_graph(&s2, &prev, r_new).result.solution,
+                greedy_zoom_in_graph(s2, &prev, r_new).result.solution,
                 greedy_zoom_in(&tree, &prev, r_new).result.solution,
                 "greedy zoom-in vs tree-backed r'={r_new}"
             );
         }
         let prev_small = greedy_disc(&tree, 0.03, GreedyVariant::Grey, true);
+        let plain = ZoomOutVariant::Plain;
+        assert_eq!(
+            zoom_out_graph(&tree2, s2, &prev_small, r_max, plain)
+                .result
+                .solution,
+            external(
+                &greedy_zoom_out(&tree2, &internal(&prev_small), r_max, plain)
+                    .result
+                    .solution
+            ),
+            "zoom-out Plain"
+        );
         for v in [
-            ZoomOutVariant::Plain,
             ZoomOutVariant::GreedyA,
             ZoomOutVariant::GreedyB,
             ZoomOutVariant::GreedyC,
         ] {
             assert_eq!(
-                zoom_out_graph(&tree2, &s2, &prev_small, r_max, v)
+                zoom_out_graph(&tree2, s2, &prev_small, r_max, v)
                     .result
                     .solution,
                 greedy_zoom_out(&tree, &prev_small, r_max, v)
@@ -1107,13 +1139,17 @@ mod tests {
             .ids()
             .map(|id| if id % 3 == 0 { 0.04 } else { r_max })
             .collect();
-        for greedy in [false, true] {
-            assert_eq!(
-                multi_radius_graph(&tree, &s, &radii, greedy).solution,
-                multi_radius_graph(&tree2, &s2, &radii, greedy).solution,
-                "multi-radius greedy={greedy}"
-            );
-        }
+        assert_eq!(
+            multi_radius_graph(&tree, &s, &radii, true).solution,
+            multi_radius_graph(&tree2, s2, &radii, true).solution,
+            "multi-radius greedy"
+        );
+        let radii2: Vec<f64> = data2.ids().map(|v| radii[data2.external_id(v)]).collect();
+        assert_eq!(
+            multi_radius_graph(&tree2, s2, &radii, false).solution,
+            external(&multi_radius_basic_disc(&tree2, &radii2, true).solution),
+            "multi-radius basic"
+        );
     }
 
     proptest! {

@@ -12,8 +12,7 @@
 //!    balls.
 //! 2. **Renumber** — the dataset is renumbered into the canonical
 //!    order, so shard `i`'s objects are the contiguous ids
-//!    `ranges[i]`; the permutation rides into the graph and snapshot
-//!    exactly as the previous leaf-order renumbering did.
+//!    `ranges[i]`; the permutation rides into the graph and snapshot.
 //! 3. **Per-shard tree + intra-join** — each non-empty shard builds
 //!    [`disc_mtree::MTree::build_range`] over the shared dataset and
 //!    self-joins it at `r_max`. Each task is self-contained (a shard
@@ -24,7 +23,7 @@
 //!    ([`disc_mtree::cross_tree_join_dist_checked`]); edges are already
 //!    in global ids.
 //! 5. **Merge + assembly** — all edge lists feed the multi-source CSR
-//!    assembly ([`StratifiedDiskGraph::from_dist_edge_slices_checked`])
+//!    assembly ([`StratifiedDiskGraph::from_dist_edges`])
 //!    without concatenation; offsets are degree counts and rows sort by
 //!    the total `(distance, id)` order, so the bytes equal the
 //!    unsharded assembly's.
@@ -238,10 +237,12 @@ pub fn build_sharded_with(
             let tree_ms = t0.elapsed().as_secs_f64() * 1e3;
             let tree_dc = tree.distance_computations();
             let t1 = Instant::now();
-            let edges = tree.range_self_join_dist_checked(
+            let edges = tree.range_self_join(
                 r_max,
-                SelfJoinConfig::with_threads(join_threads),
-                cancel,
+                SelfJoinConfig {
+                    threads: join_threads,
+                    cancel,
+                },
             )?;
             Ok(ShardOut {
                 shard,
@@ -303,13 +304,8 @@ pub fn build_sharded_with(
         .map(Vec::as_slice)
         .chain(boundary_edges.iter().map(Vec::as_slice))
         .collect();
-    let (graph, breakdown) = StratifiedDiskGraph::from_dist_edge_slices_checked(
-        data.len(),
-        r_max,
-        &slices,
-        workers,
-        cancel,
-    )?;
+    let (graph, breakdown) =
+        StratifiedDiskGraph::from_dist_edges(data.len(), r_max, &slices, workers, cancel)?;
     let graph = graph.with_permutation(data.permutation().cloned());
     stats.merge_ms = breakdown.merge_ms;
     stats.assembly_ms = breakdown.sort_ms;

@@ -28,7 +28,7 @@ use disc_core::{
 use disc_datasets::synthetic::clustered;
 use disc_graph::{NeighborSource, StratifiedDiskGraph, UnitDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
-use disc_mtree::{MTree, MTreeConfig};
+use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
 
 const R: f64 = 0.08;
 const R_SMALL: f64 = 0.04;
@@ -46,7 +46,8 @@ fn live_token_is_transparent_for_every_checked_runner() {
     let data = clustered(400, 2, 5, 170);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
     let udg = UnitDiskGraph::from_mtree(&tree, R);
-    let strat = StratifiedDiskGraph::from_mtree(&tree, R);
+    let strat =
+        StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let prev = greedy_disc(&tree, R, GreedyVariant::Grey, true);
     let prev_small = greedy_disc(&tree, R_SMALL, GreedyVariant::Grey, true);
     let radii = vec![R; data.len()];
@@ -116,7 +117,8 @@ fn expired_deadline_cancels_every_checked_runner() {
     let data = clustered(300, 2, 4, 171);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
     let udg = UnitDiskGraph::from_mtree(&tree, R);
-    let strat = StratifiedDiskGraph::from_mtree(&tree, R);
+    let strat =
+        StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let prev = greedy_disc(&tree, R, GreedyVariant::Grey, true);
     let prev_small = greedy_disc(&tree, R_SMALL, GreedyVariant::Grey, true);
     let radii = vec![R; data.len()];
@@ -213,7 +215,8 @@ fn budget_token_cancels_mid_scan_deterministically() {
     let data = clustered(400, 2, 5, 172);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
     assert_budget_cancels_mid_scan(&UnitDiskGraph::from_mtree(&tree, R));
-    let strat = StratifiedDiskGraph::from_mtree(&tree, R);
+    let strat =
+        StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     assert_budget_cancels_mid_scan(&strat.view(R));
     assert_budget_cancels_mid_scan(&strat.view(R_SMALL));
     let built = build_sharded(&data, R, 3).expect("clean dataset builds");
@@ -227,7 +230,8 @@ fn explicit_cancel_is_observed() {
     let data = clustered(300, 2, 4, 173);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
     let udg = UnitDiskGraph::from_mtree(&tree, R);
-    let strat = StratifiedDiskGraph::from_mtree(&tree, R);
+    let strat =
+        StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let t = CancelToken::new();
     t.cancel();
     assert_eq!(greedy_disc_graph_checked(&udg, Some(&t)), Err(Cancelled));

@@ -30,7 +30,7 @@ use disc_core::{
 };
 use disc_graph::StratifiedDiskGraph;
 use disc_metric::{Dataset, Metric, ObjId, Point};
-use disc_mtree::{MTree, MTreeConfig};
+use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -107,7 +107,7 @@ proptest! {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
 
         // Identity numbering: vertex ids are the dataset's ids.
-        let plain = StratifiedDiskGraph::from_mtree(&tree, r_max);
+        let plain = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default()).expect("valid radius");
         prop_assert!(plain.permutation().is_none());
 
         // Half the cases put r exactly on a stored edge distance, so the

@@ -14,6 +14,7 @@
 use disc_core::{greedy_disc, greedy_zoom_in, greedy_zoom_in_graph, GreedyVariant};
 use disc_datasets::Workload;
 use disc_graph::StratifiedDiskGraph;
+use disc_mtree::SelfJoinConfig;
 
 use crate::scale::Scale;
 use crate::table::Table;
@@ -52,7 +53,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
         // Graph-resident sweep: one build, then zero distances.
         tree.reset_distance_computations();
-        let strat = StratifiedDiskGraph::from_mtree(&tree, r_max);
+        let strat = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default())
+            .expect("workload radii are valid");
         let build_dc = tree.reset_distance_computations();
         let mut graph_row = vec![
             "Greedy-Zoom-In (stratified graph)".to_string(),

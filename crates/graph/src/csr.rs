@@ -1,27 +1,24 @@
-//! Shared CSR assembly: the serial and sharded counting sorts behind
-//! both [`crate::UnitDiskGraph`] (plain id rows) and
-//! [`crate::StratifiedDiskGraph`] (distance-annotated rows).
+//! Shared CSR assembly behind [`crate::StratifiedDiskGraph`]
+//! (distance-annotated rows) and the reference [`crate::UnitDiskGraph`]
+//! (plain id rows).
 //!
-//! Two row layouts share the determinism-critical shard-range,
-//! degree-count and prefix-sum logic ([`degree_offsets`],
-//! [`shard_plan`]):
+//! * **distance rows** ([`assemble_dist`]) — the one production
+//!   assembly. A degree count and fill walk any number of edge slices
+//!   in place (the sharded build's intra-shard self-joins plus boundary
+//!   cross-joins, or one self-join's output as a single slice) and write
+//!   each directed entry straight into the two *final* aligned arrays
+//!   (`dists`, `neighbors`), never concatenating the slices or
+//!   materialising an intermediate `(f64, id)` array-of-structs. Rows
+//!   then sort by `(distance, id)` in a parallel phase;
+//! * **plain rows** ([`assemble`]) — a serial counting sort for the
+//!   reference graph; rows sort by id.
 //!
-//! * **plain rows** ([`assemble`] / [`assemble_sharded`], generic over
-//!   [`RowEntry`]) — the entry is the opposite endpoint id, rows sort
-//!   by id;
-//! * **distance rows** ([`assemble_dist`] / [`assemble_dist_sharded`])
-//!   — each directed entry is written straight into the two *final*
-//!   aligned arrays (`dists`, `neighbors`), never materialising an
-//!   intermediate `(f64, id)` array-of-structs (the former split pass
-//!   was a fifth of the stratified assembly's wall clock); rows sort by
-//!   `(distance, id)`.
-//!
-//! Determinism contract: the per-row order must be **total** (rows
-//! never repeat an id, so the id — after the payload key, if any —
+//! Determinism contract: the per-row order is **total** (rows never
+//! repeat an id, so the id — after the distance key, if any —
 //! suffices). Offsets are pure degree counts and every row is sorted by
 //! that total order, so the assembled arrays are a pure function of the
-//! edge *set* — serial and sharded assembly are byte-identical for
-//! every shard count (pinned by the graph tests and the workspace
+//! edge *set*: byte-identical for every slicing of the edges and every
+//! worker count (pinned by the graph tests and the workspace
 //! concurrency tier).
 //!
 //! ## Radix-sorted distance rows
@@ -42,12 +39,11 @@
 //! tests pin order-identity against the comparison sort on duplicate
 //! distances, ±0.0, subnormals and all-equal rows.
 //!
-//! In the sharded assembly the row sort runs as its own parallel phase
-//! after the fill ([`sort_dist_rows_sharded`]): rows are cut into
-//! contiguous ranges balanced by entry count (not by the fill's vertex
-//! ranges), so sort work distributes evenly even when degrees are
-//! skewed. Per-row sorts are independent, so the phase split changes no
-//! byte of output.
+//! The row sort runs as its own parallel phase after the fill
+//! ([`sort_dist_rows`]): rows are cut into contiguous ranges balanced
+//! by entry count, so sort work distributes evenly even when degrees
+//! are skewed. Per-row sorts are independent, so the worker count
+//! changes no byte of output.
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
@@ -60,49 +56,14 @@ const CANCEL_CHUNK: usize = 4_096;
 /// Raw distance-annotated CSR arrays: `(offsets, dists, neighbors)`.
 pub(crate) type DistCsr = (Vec<usize>, Vec<f64>, Vec<ObjId>);
 
-/// A directed row entry derived from an undirected edge.
-pub(crate) trait RowEntry: Copy + Default + Send + Sync {
-    /// The undirected input edge type.
-    type Edge: Copy + Send + Sync;
-    /// Endpoints of an edge.
-    fn ends(e: &Self::Edge) -> (ObjId, ObjId);
-    /// The entry stored in one endpoint's row; `other` is the opposite
-    /// endpoint.
-    fn entry(e: &Self::Edge, other: ObjId) -> Self;
-    /// Total order of entries within a row (see the module docs).
-    fn cmp_row(a: &Self, b: &Self) -> std::cmp::Ordering;
-}
-
-/// Plain adjacency rows: the entry is the opposite endpoint, rows are
-/// sorted by id.
-impl RowEntry for ObjId {
-    type Edge = (ObjId, ObjId);
-
-    #[inline]
-    fn ends(e: &Self::Edge) -> (ObjId, ObjId) {
-        (e.0, e.1)
-    }
-
-    #[inline]
-    fn entry(_e: &Self::Edge, other: ObjId) -> Self {
-        other
-    }
-
-    #[inline]
-    fn cmp_row(a: &Self, b: &Self) -> std::cmp::Ordering {
-        a.cmp(b)
-    }
-}
-
 /// A distance-annotated undirected edge, as the self-join emits it.
 pub(crate) type DistEdge = (ObjId, ObjId, f64);
 
 /// Degree counts turned into the `n + 1` CSR row boundaries — the one
-/// offsets definition every assembly path shares.
-fn degree_offsets<E>(n: usize, edges: &[E], ends: impl Fn(&E) -> (ObjId, ObjId)) -> Vec<usize> {
+/// offsets definition both assemblies share.
+fn degree_offsets(n: usize, ends: impl Iterator<Item = (ObjId, ObjId)>) -> Vec<usize> {
     let mut offsets = vec![0usize; n + 1];
-    for e in edges {
-        let (i, j) = ends(e);
+    for (i, j) in ends {
         debug_assert!(i != j, "self-loop ({i}, {j})");
         offsets[i + 1] += 1;
         offsets[j + 1] += 1;
@@ -113,375 +74,45 @@ fn degree_offsets<E>(n: usize, edges: &[E], ends: impl Fn(&E) -> (ObjId, ObjId))
     offsets
 }
 
-/// The sharding plan every parallel assembly path shares: resolves the
-/// shard count (`0` = one per core, honouring the serial fallback for
-/// small inputs by returning `None`), buckets edges by owning shard
-/// (input order preserved; an edge crossing two shards lands in both
-/// buckets) and fixes the vertex ranges.
-struct ShardPlan<E> {
-    shards: usize,
-    span: usize,
-    buckets: Vec<Vec<E>>,
-}
-
-impl<E: Copy> ShardPlan<E> {
-    fn new(
-        n: usize,
-        edges: &[E],
-        shards: usize,
-        ends: impl Fn(&E) -> (ObjId, ObjId),
-    ) -> Option<Self> {
-        let shards = if shards == 0 {
-            // Below this size the serial assembly beats spawn + join.
-            const MIN_PARALLEL_EDGES: usize = 4_096;
-            let auto = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            if auto <= 1 || edges.len() < MIN_PARALLEL_EDGES {
-                return None;
-            }
-            auto
-        } else {
-            shards
-        };
-        let shards = shards.clamp(1, n.max(1));
-        // Vertex ranges: shard s owns [s * span, min((s + 1) * span, n)).
-        let span = n.div_ceil(shards).max(1);
-        let mut buckets: Vec<Vec<E>> = vec![Vec::new(); shards];
-        for e in edges {
-            let (i, j) = ends(e);
-            debug_assert!(i != j, "self-loop ({i}, {j})");
-            let si = (i / span).min(shards - 1);
-            let sj = (j / span).min(shards - 1);
-            buckets[si].push(*e);
-            if sj != si {
-                buckets[sj].push(*e);
-            }
-        }
-        Some(Self {
-            shards,
-            span,
-            buckets,
-        })
-    }
-
-    fn range(&self, s: usize, n: usize) -> std::ops::Range<usize> {
-        (s * self.span).min(n)..((s + 1) * self.span).min(n)
-    }
-
-    /// Phase 1 of every sharded assembly: per-shard degree counts with
-    /// a local exclusive prefix sum, combined into the global offsets
-    /// array (identical to [`degree_offsets`]' output).
-    fn offsets(
-        &self,
-        n: usize,
-        ends: impl Fn(&E) -> (ObjId, ObjId) + Sync + Send + Copy,
-    ) -> Vec<usize>
-    where
-        E: Send + Sync,
-    {
-        let locals: Vec<Vec<usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|s| {
-                    let r = self.range(s, n);
-                    let bucket = &self.buckets[s];
-                    scope.spawn(move || {
-                        let mut counts = vec![0usize; r.len() + 1];
-                        for e in bucket {
-                            let (i, j) = ends(e);
-                            if r.contains(&i) {
-                                counts[i - r.start + 1] += 1;
-                            }
-                            if r.contains(&j) {
-                                counts[j - r.start + 1] += 1;
-                            }
-                        }
-                        for k in 0..r.len() {
-                            counts[k + 1] += counts[k];
-                        }
-                        counts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(counts) => counts,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut offsets = vec![0usize; n + 1];
-        let mut base = 0usize;
-        for (s, local) in locals.iter().enumerate() {
-            let r = self.range(s, n);
-            for (k, v) in r.clone().enumerate() {
-                offsets[v] = base + local[k];
-            }
-            base += local[r.len()];
-        }
-        offsets[n] = base;
-        offsets
-    }
-}
-
 /// Serial counting-sort assembly for plain rows: degree counts, prefix
-/// sum, fill, per-row sort. Returns `(offsets, entries)` with `n + 1`
+/// sum, fill, per-row sort. Returns `(offsets, neighbors)` with `n + 1`
 /// offsets.
-pub(crate) fn assemble<T: RowEntry>(n: usize, edges: &[T::Edge]) -> (Vec<usize>, Vec<T>) {
-    let offsets = degree_offsets(n, edges, T::ends);
-    let mut entries = vec![T::default(); offsets[n]];
+pub(crate) fn assemble(n: usize, edges: &[(ObjId, ObjId)]) -> (Vec<usize>, Vec<ObjId>) {
+    let offsets = degree_offsets(n, edges.iter().copied());
+    let mut neighbors = vec![0 as ObjId; offsets[n]];
     let mut cursor = offsets.clone();
-    for e in edges {
-        let (i, j) = T::ends(e);
-        entries[cursor[i]] = T::entry(e, j);
+    for &(i, j) in edges {
+        neighbors[cursor[i]] = j;
         cursor[i] += 1;
-        entries[cursor[j]] = T::entry(e, i);
+        neighbors[cursor[j]] = i;
         cursor[j] += 1;
     }
     for v in 0..n {
-        sort_row::<T>(&mut entries[offsets[v]..offsets[v + 1]], v);
-    }
-    (offsets, entries)
-}
-
-/// [`assemble`] as a parallel counting sort over `std::thread::scope`
-/// workers: shards own contiguous vertex ranges, count degrees and
-/// prefix-sum locally, then fill and sort disjoint slices of the entry
-/// array. Byte-identical output to [`assemble`] for every shard count.
-///
-/// `shards == 0` picks one shard per available core and falls back to
-/// the serial assembly when that is 1 or the input is small; an
-/// explicit shard count is honoured exactly (the concurrency tests
-/// force 1, 2, 3 and 8).
-pub(crate) fn assemble_sharded<T: RowEntry>(
-    n: usize,
-    edges: &[T::Edge],
-    shards: usize,
-) -> (Vec<usize>, Vec<T>) {
-    let Some(plan) = ShardPlan::new(n, edges, shards, T::ends) else {
-        return assemble(n, edges);
-    };
-    let offsets = plan.offsets(n, T::ends);
-
-    // Phase 2: each shard fills and sorts its disjoint slice of the
-    // entry array (slices handed out via split_at_mut).
-    let mut entries = vec![T::default(); offsets[n]];
-    std::thread::scope(|scope| {
-        let offsets = &offsets;
-        let mut rest: &mut [T] = &mut entries;
-        for (s, bucket) in plan.buckets.iter().enumerate() {
-            let r = plan.range(s, n);
-            let shard_len = offsets[r.end] - offsets[r.start];
-            let (mine, tail) = rest.split_at_mut(shard_len);
-            rest = tail;
-            scope.spawn(move || {
-                let shard_base = offsets[r.start];
-                let mut cursor: Vec<usize> =
-                    offsets[r.clone()].iter().map(|&o| o - shard_base).collect();
-                for e in bucket {
-                    let (i, j) = T::ends(e);
-                    if r.contains(&i) {
-                        mine[cursor[i - r.start]] = T::entry(e, j);
-                        cursor[i - r.start] += 1;
-                    }
-                    if r.contains(&j) {
-                        mine[cursor[j - r.start]] = T::entry(e, i);
-                        cursor[j - r.start] += 1;
-                    }
-                }
-                for v in r.clone() {
-                    sort_row::<T>(
-                        &mut mine[offsets[v] - shard_base..offsets[v + 1] - shard_base],
-                        v,
-                    );
-                }
-            });
-        }
-    });
-    (offsets, entries)
-}
-
-/// Sorts one plain row by the entry total order and (debug) rejects
-/// duplicate edges, which would surface as adjacent equal entries.
-fn sort_row<T: RowEntry>(row: &mut [T], v: ObjId) {
-    row.sort_unstable_by(T::cmp_row);
-    debug_assert!(
-        row.windows(2)
-            .all(|w| T::cmp_row(&w[0], &w[1]) != std::cmp::Ordering::Equal),
-        "duplicate edge incident to vertex {v}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Distance-annotated rows
-// ---------------------------------------------------------------------
-
-/// Serial assembly of distance-annotated rows, straight into the two
-/// aligned output arrays: returns `(offsets, dists, neighbors)` with
-/// each row sorted by `(total_cmp(dist), id)`.
-pub(crate) fn assemble_dist(n: usize, edges: &[DistEdge]) -> (Vec<usize>, Vec<f64>, Vec<ObjId>) {
-    let Ok(out) = assemble_dist_serial_core(n, edges, None) else {
-        unreachable!("cancellation is impossible without a token")
-    };
-    out
-}
-
-/// [`assemble_dist`] with cooperative cancellation: the fill and sort
-/// loops poll the token every [`CANCEL_CHUNK`] work items. On
-/// `Err(Cancelled)` the partially assembled arrays are dropped — no
-/// partial CSR escapes.
-fn assemble_dist_serial_core(
-    n: usize,
-    edges: &[DistEdge],
-    cancel: Option<&CancelToken>,
-) -> Result<DistCsr, Cancelled> {
-    if let Some(c) = cancel {
-        c.checkpoint()?;
-    }
-    let offsets = degree_offsets(n, edges, |e| (e.0, e.1));
-    let total = offsets[n];
-    let mut dists = vec![0.0f64; total];
-    let mut neighbors = vec![0 as ObjId; total];
-    let mut cursor = offsets.clone();
-    for (t, &(i, j, d)) in edges.iter().enumerate() {
-        if t % CANCEL_CHUNK == 0 {
-            if let Some(c) = cancel {
-                c.checkpoint()?;
-            }
-        }
-        let ci = cursor[i];
-        dists[ci] = d;
-        neighbors[ci] = j;
-        cursor[i] = ci + 1;
-        let cj = cursor[j];
-        dists[cj] = d;
-        neighbors[cj] = i;
-        cursor[j] = cj + 1;
-    }
-    let mut scratch = DistSortScratch::default();
-    for v in 0..n {
-        if v % CANCEL_CHUNK == 0 {
-            if let Some(c) = cancel {
-                c.checkpoint()?;
-            }
-        }
-        let row = offsets[v]..offsets[v + 1];
-        sort_dist_row(
-            &mut dists[row.clone()],
-            &mut neighbors[row],
-            &mut scratch,
-            v,
+        let row = &mut neighbors[offsets[v]..offsets[v + 1]];
+        row.sort_unstable();
+        debug_assert!(
+            row.windows(2).all(|w| w[0] != w[1]),
+            "duplicate edge incident to vertex {v}"
         );
     }
-    Ok((offsets, dists, neighbors))
+    (offsets, neighbors)
 }
 
-/// [`assemble_dist`] as a parallel counting sort: same shard plan as
-/// [`assemble_sharded`], filling and sorting disjoint slices of *both*
-/// output arrays. Byte-identical to the serial assembly for every shard
-/// count.
-pub(crate) fn assemble_dist_sharded(
-    n: usize,
-    edges: &[DistEdge],
-    shards: usize,
-) -> (Vec<usize>, Vec<f64>, Vec<ObjId>) {
-    let Ok(out) = assemble_dist_checked(n, edges, shards, None) else {
-        unreachable!("cancellation is impossible without a token")
-    };
-    out
-}
-
-/// The cancellable assembly entry point behind
-/// [`crate::StratifiedDiskGraph`]'s checked builders: sharded (or
-/// serial, per the shard plan) distance-row assembly that polls the
-/// token every [`CANCEL_CHUNK`] work items per worker. On
-/// `Err(Cancelled)` every partially filled slice is dropped with the
-/// arrays — callers never observe a partial CSR.
-pub(crate) fn assemble_dist_checked(
-    n: usize,
-    edges: &[DistEdge],
-    shards: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<DistCsr, Cancelled> {
-    let ends = |e: &DistEdge| (e.0, e.1);
-    let Some(plan) = ShardPlan::new(n, edges, shards, ends) else {
-        return assemble_dist_serial_core(n, edges, cancel);
-    };
-    if let Some(c) = cancel {
-        c.checkpoint()?;
-    }
-    let offsets = plan.offsets(n, ends);
-
-    let total = offsets[n];
-    let mut dists = vec![0.0f64; total];
-    let mut neighbors = vec![0 as ObjId; total];
-    let aborted = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let offsets = &offsets;
-        let aborted = &aborted;
-        let mut rest_d: &mut [f64] = &mut dists;
-        let mut rest_n: &mut [ObjId] = &mut neighbors;
-        for (s, bucket) in plan.buckets.iter().enumerate() {
-            let r = plan.range(s, n);
-            let shard_len = offsets[r.end] - offsets[r.start];
-            let (mine_d, tail_d) = rest_d.split_at_mut(shard_len);
-            rest_d = tail_d;
-            let (mine_n, tail_n) = rest_n.split_at_mut(shard_len);
-            rest_n = tail_n;
-            scope.spawn(move || {
-                let shard_base = offsets[r.start];
-                let mut cursor: Vec<usize> =
-                    offsets[r.clone()].iter().map(|&o| o - shard_base).collect();
-                for (t, &(i, j, d)) in bucket.iter().enumerate() {
-                    if t % CANCEL_CHUNK == 0 {
-                        if let Some(c) = cancel {
-                            if c.checkpoint().is_err() {
-                                aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                    if r.contains(&i) {
-                        let c = cursor[i - r.start];
-                        mine_d[c] = d;
-                        mine_n[c] = j;
-                        cursor[i - r.start] = c + 1;
-                    }
-                    if r.contains(&j) {
-                        let c = cursor[j - r.start];
-                        mine_d[c] = d;
-                        mine_n[c] = i;
-                        cursor[j - r.start] = c + 1;
-                    }
-                }
-            });
-        }
-    });
-    if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-        return Err(Cancelled);
-    }
-    sort_dist_rows_sharded(&offsets, &mut dists, &mut neighbors, plan.shards, cancel)?;
-    Ok((offsets, dists, neighbors))
-}
-
-/// Multi-source distance-row assembly for the sharded build: assembles
-/// one CSR from several per-task edge slices (intra-shard self-joins
-/// plus boundary cross-joins) **without concatenating them** — the
-/// degree count and fill walk the slices in place, then the row sort
-/// runs as the same entry-balanced parallel phase the single-source
-/// assembly uses.
+/// Distance-row assembly from one or more edge slices: the degree count
+/// and fill walk the slices in place, then the row sort runs as an
+/// entry-balanced parallel phase ([`sort_dist_rows`]).
 ///
 /// Because offsets are pure degree counts and every row is sorted by
 /// the total `(dist_order_key, id)` order, the output is byte-identical
-/// to [`assemble_dist`] over any concatenation of the slices — and
-/// therefore to the unsharded build whenever the slices union to the
-/// same edge set. `workers == 0` sizes the sort phase to the available
-/// cores.
+/// over any slicing of the same edge set — and therefore the sharded
+/// build equals the unsharded one whenever the slices union to the same
+/// edge set. `workers == 0` sizes the sort phase to the available cores
+/// (one worker below 4,096 entries).
 ///
-/// On `Err(Cancelled)` the partially assembled arrays are dropped — no
-/// partial CSR escapes.
-pub(crate) fn assemble_dist_multi_checked(
+/// The fill and sort loops poll the token every [`CANCEL_CHUNK`] work
+/// items. On `Err(Cancelled)` the partially assembled arrays are
+/// dropped — no partial CSR escapes.
+pub(crate) fn assemble_dist(
     n: usize,
     slices: &[&[DistEdge]],
     workers: usize,
@@ -491,17 +122,12 @@ pub(crate) fn assemble_dist_multi_checked(
         c.checkpoint()?;
     }
     let merge_start = std::time::Instant::now();
-    let mut offsets = vec![0usize; n + 1];
-    for slice in slices {
-        for &(i, j, _) in *slice {
-            debug_assert!(i != j, "self-loop ({i}, {j})");
-            offsets[i + 1] += 1;
-            offsets[j + 1] += 1;
-        }
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
+    let offsets = degree_offsets(
+        n,
+        slices
+            .iter()
+            .flat_map(|s| s.iter().map(|&(i, j, _)| (i, j))),
+    );
     let total = offsets[n];
     let mut dists = vec![0.0f64; total];
     let mut neighbors = vec![0 as ObjId; total];
@@ -523,20 +149,16 @@ pub(crate) fn assemble_dist_multi_checked(
             cursor[j] = cj + 1;
         }
     }
-    let workers = if workers == 0 {
-        if total < 4_096 {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        }
-    } else {
-        workers
+    let workers = match workers {
+        0 if total < 4_096 => 1,
+        0 => std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1),
+        w => w,
     };
     let merge = merge_start.elapsed();
     let sort_start = std::time::Instant::now();
-    sort_dist_rows_sharded(&offsets, &mut dists, &mut neighbors, workers.max(1), cancel)?;
+    sort_dist_rows(&offsets, &mut dists, &mut neighbors, workers, cancel)?;
     let timings = AssemblyTimings {
         merge,
         sort: sort_start.elapsed(),
@@ -544,22 +166,21 @@ pub(crate) fn assemble_dist_multi_checked(
     Ok(((offsets, dists, neighbors), timings))
 }
 
-/// Wall-clock split of the multi-source assembly: the degree-count +
-/// fill merge walk vs the parallel row-sort phase.
+/// Wall-clock split of [`assemble_dist`]: the degree-count + fill merge
+/// walk vs the parallel row-sort phase.
 pub(crate) struct AssemblyTimings {
     pub merge: std::time::Duration,
     pub sort: std::time::Duration,
 }
 
-/// The sort half of the sharded distance-row assembly, decoupled from
-/// the fill: rows are partitioned into contiguous ranges balanced by
-/// **entry count** (one binary search on `offsets` per cut) rather than
-/// inheriting the fill's vertex-range shards, so a worker owning a few
-/// heavy rows sorts as much data as one owning many light rows. Each
-/// worker sorts a disjoint slice of both arrays with its own scratch;
-/// per-row sorts are independent, so the output is byte-identical to
-/// sorting serially (and to the former fused fill-and-sort).
-fn sort_dist_rows_sharded(
+/// The sort half of the distance-row assembly, decoupled from the fill:
+/// rows are partitioned into contiguous ranges balanced by **entry
+/// count** (one binary search on `offsets` per cut), so a worker owning
+/// a few heavy rows sorts as much data as one owning many light rows.
+/// Each worker sorts a disjoint slice of both arrays with its own
+/// scratch; per-row sorts are independent, so the output is
+/// byte-identical to sorting serially.
+fn sort_dist_rows(
     offsets: &[usize],
     dists: &mut [f64],
     neighbors: &mut [ObjId],
@@ -944,37 +565,42 @@ mod tests {
                 edges.push((a, b, (next() % 1_000) as f64 * 1e-3));
             }
         }
-        let serial = assemble_dist(n, &edges);
-        for shards in [0, 1, 2, 3, 8, 200] {
-            let sharded = assemble_dist_sharded(n, &edges, shards);
-            assert_eq!(serial.0, sharded.0, "offsets, shards={shards}");
-            assert_eq!(
-                serial.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                sharded.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                "dists, shards={shards}"
-            );
-            assert_eq!(serial.2, sharded.2, "neighbors, shards={shards}");
+        let assemble = |slices: &[&[DistEdge]], workers: usize| {
+            let Ok((csr, _)) = assemble_dist(n, slices, workers, None) else {
+                unreachable!("cancellation is impossible without a token")
+            };
+            csr
+        };
+        // Independent reference: per-row comparison sort.
+        let mut rows: Vec<Vec<(f64, ObjId)>> = vec![Vec::new(); n];
+        for &(a, b, d) in &edges {
+            rows[a].push((d, b));
+            rows[b].push((d, a));
         }
-
-        // Multi-source assembly over arbitrary splits of the same edge
-        // set (including empty slices) is byte-identical to the
-        // single-source serial assembly — the contract the sharded
-        // build's byte-identity gate rests on.
+        let mut want_offsets = vec![0];
+        let (mut want_d, mut want_n) = (Vec::new(), Vec::new());
+        for row in rows {
+            for (d, id) in reference_sort(row) {
+                want_d.push(d.to_bits());
+                want_n.push(id);
+            }
+            want_offsets.push(want_n.len());
+        }
+        // Every worker count and every slicing of the same edge set
+        // (including empty slices) assembles the same bytes — the
+        // contract the sharded build's byte-identity gate rests on.
         for cut in [0, 1, edges.len() / 3, edges.len()] {
             let (a, b) = edges.split_at(cut);
             let empty: &[DistEdge] = &[];
-            for workers in [1, 3] {
-                let Ok((multi, _)) = assemble_dist_multi_checked(n, &[a, empty, b], workers, None)
-                else {
-                    unreachable!("cancellation is impossible without a token")
-                };
-                assert_eq!(serial.0, multi.0, "offsets, cut={cut}");
+            for workers in [0, 1, 2, 3, 8, 200] {
+                let got = assemble(&[a, empty, b], workers);
+                assert_eq!(got.0, want_offsets, "offsets, cut={cut} workers={workers}");
                 assert_eq!(
-                    serial.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    multi.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    "dists, cut={cut}"
+                    got.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                    want_d,
+                    "dists, cut={cut} workers={workers}"
                 );
-                assert_eq!(serial.2, multi.2, "neighbors, cut={cut}");
+                assert_eq!(got.2, want_n, "neighbors, cut={cut} workers={workers}");
             }
         }
     }

@@ -11,50 +11,27 @@
 //! selection loops' linear scans, and halves pointer-chasing during the
 //! graph-resident heuristics in `disc-core`.
 //!
-//! ## Construction, and when to prefer which pipeline
+//! ## Construction
 //!
-//! * [`UnitDiskGraph::from_mtree`] — bulk-materialises the graph with
-//!   one M-tree [`range_self_join`](disc_mtree::MTree::range_self_join)
-//!   traversal. Node-pair pruning computes far fewer than `n(n−1)/2`
-//!   distances, and once the CSR is resident the selection heuristics
-//!   run with **zero** further index queries. (The serving layer does
-//!   not build this graph: it selects on a
-//!   [`crate::StratifiedView`] of the snapshot's stratified graph, and
-//!   both implement [`crate::NeighborSource`].)
-//!   Prefer it whenever the edge list fits in memory (≈16 bytes per
-//!   edge transiently, 8 bytes per directed edge resident) and the
-//!   whole graph will be consumed — i.e. a full Greedy-DisC / Greedy-C
-//!   run. Prefer the tree-backed runners instead when memory is tight or
-//!   when only a few selections are needed (zooming a small
-//!   neighbourhood). When the radius *changes between selections* —
-//!   zoom-in/zoom-out sweeps, per-object radii — use the
-//!   radius-stratified sibling [`crate::StratifiedDiskGraph`], which
-//!   answers every radius below its build radius from one
-//!   distance-annotated self-join.
-//!   With the `parallel` feature enabled, both the self-join traversal
-//!   (see `disc-mtree`) and the CSR assembly below run multi-threaded,
-//!   producing a byte-identical graph.
-//! * [`UnitDiskGraph::build`] — the O(n²) all-pairs scan, kept as the
-//!   validation reference the property tests compare against.
-//! * [`UnitDiskGraph::build_parallel`] — the same scan sharded across
-//!   threads with `std::thread::scope` (behind the `parallel` feature);
-//!   byte-identical output, useful on multi-core hosts when no M-tree
-//!   exists yet.
+//! This is the id-sorted **reference** graph: the oracle the property
+//! tests compare the production [`crate::StratifiedDiskGraph`] (and its
+//! [`crate::StratifiedView`] prefixes, which every selection reads)
+//! against, and the input of the paper's graph-vs-tree figure. It has
+//! three constructors:
+//!
+//! * [`UnitDiskGraph::build`] — the O(n²) all-pairs scan;
+//! * [`UnitDiskGraph::from_mtree`] — one plain M-tree
+//!   [`range_self_join`](disc_mtree::MTree::range_self_join) (the
+//!   `(ObjId, ObjId)` reference edge type). Node-pair pruning computes
+//!   far fewer than `n(n−1)/2` distances, and once the CSR is resident
+//!   the selection heuristics run with **zero** further index queries;
 //! * [`UnitDiskGraph::from_edges`] — serial CSR assembly from any edge
-//!   list (the self-join's output format), public so other producers
-//!   can feed the same consumers.
-//! * [`UnitDiskGraph::from_edges_sharded`] — the same assembly as a
-//!   parallel counting sort: shards own contiguous vertex ranges,
-//!   count degrees and prefix-sum locally, then fill and sort disjoint
-//!   slices of the `neighbors` array. Byte-identical `offsets` /
-//!   `neighbors` for every shard count, because the offsets are pure
-//!   degree counts and each adjacency row is sorted (and duplicate
-//!   free), so its final content is independent of fill order.
+//!   list (the self-join's output format).
 
 use std::sync::Arc;
 
 use disc_metric::{Dataset, IdPermutation, ObjId};
-use disc_mtree::MTree;
+use disc_mtree::{MTree, SelfJoinConfig};
 
 /// Undirected graph over the objects of a dataset, with an edge `(i, j)`
 /// iff `dist(i, j) ≤ r` and `i ≠ j`. Stored as CSR; adjacency rows are
@@ -94,18 +71,22 @@ impl UnitDiskGraph {
         Self::from_edges(n, radius, &edges).with_permutation(data.permutation().cloned())
     }
 
-    /// Materialises `G_{P,r}` with one M-tree range self-join (the bulk
-    /// production path; distance computations are charged to the tree's
-    /// counter). With the `parallel` feature enabled both the self-join
-    /// traversal and the CSR assembly run multi-threaded — the graph is
-    /// byte-identical either way.
+    /// Materialises `G_{P,r}` with one plain M-tree range self-join at
+    /// the auto thread count (distance computations are charged to the
+    /// tree's counter). The graph is byte-identical for every thread
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `radius` is NaN or negative.
     pub fn from_mtree(tree: &MTree<'_>, radius: f64) -> Self {
-        let edges = tree.range_self_join(radius);
-        #[cfg(feature = "parallel")]
-        let g = Self::from_edges_sharded(tree.len(), radius, &edges, 0);
-        #[cfg(not(feature = "parallel"))]
-        let g = Self::from_edges(tree.len(), radius, &edges);
-        g.with_permutation(tree.data().permutation().cloned())
+        let edges: Vec<(ObjId, ObjId)> =
+            match tree.range_self_join(radius, SelfJoinConfig::default()) {
+                Ok(edges) => edges,
+                Err(e) => panic!("{e}"),
+            };
+        Self::from_edges(tree.len(), radius, &edges)
+            .with_permutation(tree.data().permutation().cloned())
     }
 
     /// Assembles the CSR from an undirected edge list over `n` vertices.
@@ -113,91 +94,13 @@ impl UnitDiskGraph {
     /// must appear at most once, and self-loops are rejected (debug).
     pub fn from_edges(n: usize, radius: f64, edges: &[(ObjId, ObjId)]) -> Self {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let (offsets, neighbors) = crate::csr::assemble::<ObjId>(n, edges);
+        let (offsets, neighbors) = crate::csr::assemble(n, edges);
         Self {
             radius,
             offsets,
             neighbors,
             perm: None,
         }
-    }
-
-    /// [`UnitDiskGraph::from_edges`] as a parallel counting sort over
-    /// `std::thread::scope` workers (the shared assembly in the crate's
-    /// private `csr` module, also behind the stratified variant): shards
-    /// own contiguous vertex ranges, count degrees and prefix-sum
-    /// locally, then fill and sort disjoint slices of the `neighbors`
-    /// array. The resulting `offsets` / `neighbors` are
-    /// **byte-identical** to the serial assembly for every shard count:
-    /// offsets are pure degree counts, and every adjacency row is
-    /// sorted and duplicate-free, so its content does not depend on
-    /// fill order.
-    ///
-    /// `shards == 0` picks one shard per available core and falls back
-    /// to the serial assembly when that is 1 or the input is small; an
-    /// explicit shard count is honoured exactly (the concurrency tests
-    /// force 1, 2, 3 and 8).
-    pub fn from_edges_sharded(
-        n: usize,
-        radius: f64,
-        edges: &[(ObjId, ObjId)],
-        shards: usize,
-    ) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let (offsets, neighbors) = crate::csr::assemble_sharded::<ObjId>(n, edges, shards);
-        Self {
-            radius,
-            offsets,
-            neighbors,
-            perm: None,
-        }
-    }
-
-    /// The O(n²) scan sharded over `std::thread::scope` threads: each
-    /// thread scans the upper-triangle pairs of a strided row subset
-    /// (stride balances the shrinking rows), producing per-thread edge
-    /// lists merged by [`UnitDiskGraph::from_edges`] — the same total
-    /// distance work as the serial scan and byte-identical output to
-    /// [`UnitDiskGraph::build`].
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel(data: &Dataset, radius: f64) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let n = data.len();
-        // Below this size thread spawn/join dominates the scan.
-        const MIN_PARALLEL: usize = 512;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if threads <= 1 || n < MIN_PARALLEL {
-            return Self::build(data, radius);
-        }
-        let edges: Vec<(ObjId, ObjId)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut edges = Vec::new();
-                        let mut i = t;
-                        while i < n {
-                            for j in (i + 1)..n {
-                                if data.dist(i, j) <= radius {
-                                    edges.push((i, j));
-                                }
-                            }
-                            i += threads;
-                        }
-                        edges
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(edges) => edges,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        Self::from_edges(n, radius, &edges).with_permutation(data.permutation().cloned())
     }
 
     /// Attaches (or clears) the internal↔external id bijection — the
@@ -264,8 +167,6 @@ impl UnitDiskGraph {
     }
 
     /// The raw CSR row-boundary array (`n + 1` entries, first is 0).
-    /// Exposed so the concurrency tests can pin byte-equality of
-    /// serially and shardedly assembled graphs.
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
@@ -424,52 +325,6 @@ mod tests {
         assert_eq!(empty.len(), 0);
     }
 
-    const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
-    #[test]
-    fn sharded_assembly_is_byte_identical_to_serial() {
-        let data = random_data_metric(300, 11, Metric::Euclidean);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        for r in [0.0, 0.05, 0.2, 2.0] {
-            let edges = tree.range_self_join_serial(r);
-            let serial = UnitDiskGraph::from_edges(data.len(), r, &edges);
-            for shards in SHARD_COUNTS {
-                let sharded = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, shards);
-                assert_eq!(sharded.offsets(), serial.offsets(), "shards={shards} r={r}");
-                assert_eq!(
-                    sharded.neighbors_flat(),
-                    serial.neighbors_flat(),
-                    "shards={shards} r={r}"
-                );
-            }
-            // More shards than vertices clamps without panicking.
-            assert_eq!(
-                UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, data.len() + 50),
-                serial
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_assembly_degenerate_inputs() {
-        for shards in SHARD_COUNTS {
-            // No vertices at all.
-            let empty = UnitDiskGraph::from_edges_sharded(0, 0.5, &[], shards);
-            assert!(empty.is_empty());
-            assert_eq!(empty.offsets(), &[0]);
-            // A single vertex (no possible edge).
-            let one = UnitDiskGraph::from_edges_sharded(1, 0.5, &[], shards);
-            assert_eq!(one.len(), 1);
-            assert!(one.neighbors(0).is_empty());
-            // Isolated vertices, mixed-orientation edge list.
-            let g = UnitDiskGraph::from_edges_sharded(4, 1.0, &[(2, 0), (3, 2), (0, 1)], shards);
-            assert_eq!(
-                g,
-                UnitDiskGraph::from_edges(4, 1.0, &[(2, 0), (3, 2), (0, 1)])
-            );
-        }
-    }
-
     #[test]
     fn all_duplicate_points_build_complete_graph_at_radius_zero() {
         // Degenerate dataset: every point identical, so at r = 0 the
@@ -486,12 +341,11 @@ mod tests {
         }
         let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
         assert_eq!(UnitDiskGraph::from_mtree(&tree, 0.0), reference);
-        let edges = tree.range_self_join_serial(0.0);
-        for shards in SHARD_COUNTS {
-            assert_eq!(
-                UnitDiskGraph::from_edges_sharded(n, 0.0, &edges, shards),
-                reference
-            );
+        for threads in [1, 2, 3, 8] {
+            let edges = tree
+                .range_self_join(0.0, SelfJoinConfig::with_threads(threads))
+                .expect("valid radius");
+            assert_eq!(UnitDiskGraph::from_edges(n, 0.0, &edges), reference);
         }
     }
 
@@ -505,10 +359,12 @@ mod tests {
         }
         let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
         assert_eq!(UnitDiskGraph::from_mtree(&tree, 2.0), reference);
-        let edges = tree.range_self_join_serial(2.0);
-        for shards in SHARD_COUNTS {
+        for threads in [1, 2, 3, 8] {
+            let edges = tree
+                .range_self_join(2.0, SelfJoinConfig::with_threads(threads))
+                .expect("valid radius");
             assert_eq!(
-                UnitDiskGraph::from_edges_sharded(data.len(), 2.0, &edges, shards),
+                UnitDiskGraph::from_edges(data.len(), 2.0, &edges),
                 reference
             );
         }
@@ -521,19 +377,6 @@ mod tests {
         for r in [0.0, 0.5, 1.0, 2.0] {
             assert_eq!(
                 UnitDiskGraph::from_mtree(&tree, r),
-                UnitDiskGraph::build(&data, r),
-                "r={r}"
-            );
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_build_matches_serial() {
-        let data = random_data_metric(700, 9, Metric::Euclidean);
-        for r in [0.02, 0.1, 0.4] {
-            assert_eq!(
-                UnitDiskGraph::build_parallel(&data, r),
                 UnitDiskGraph::build(&data, r),
                 "r={r}"
             );

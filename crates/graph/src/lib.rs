@@ -6,17 +6,17 @@
 //! `r` (a unit-disk graph under the Euclidean metric). This crate builds
 //! that graph view and provides:
 //!
-//! * [`UnitDiskGraph`] — CSR adjacency materialised either by an O(n²)
-//!   scan over a [`disc_metric::Dataset`] (validation reference) or in
-//!   bulk from one M-tree range self-join
-//!   ([`UnitDiskGraph::from_mtree`]) — see [`graph`] for when to prefer
-//!   the graph-resident pipeline over tree-backed execution,
-//! * [`StratifiedDiskGraph`] — the radius-stratified variant: one
-//!   distance-annotated self-join at the largest radius of interest,
-//!   with per-row `(distance, id)`-sorted adjacency so the induced
-//!   subgraph at any smaller radius is a zero-cost prefix view
+//! * [`StratifiedDiskGraph`] — the one production graph: the edge set
+//!   at the largest radius of interest with exact distances and per-row
+//!   `(distance, id)`-sorted adjacency, so the induced subgraph at any
+//!   smaller radius is a zero-cost prefix view
 //!   ([`StratifiedDiskGraph::view`]) — the substrate every
-//!   graph-resident runner in `disc-core` selects on,
+//!   graph-resident runner in `disc-core` selects on. It is assembled
+//!   from distance-annotated self-join edge slices
+//!   ([`StratifiedDiskGraph::from_dist_edges`]),
+//! * [`UnitDiskGraph`] — the id-sorted single-radius reference graph,
+//!   built by an O(n²) scan or one plain M-tree self-join
+//!   ([`UnitDiskGraph::from_mtree`]); see [`graph`],
 //! * [`NeighborSource`] — the adjacency interface those runners read,
 //!   implemented by the prefix view and by [`UnitDiskGraph`],
 //! * [`sets`] — the coverage/dominance and dissimilarity/independence

@@ -26,7 +26,8 @@
 //!
 //! Sorting by the `(distance, id)` pair — a total order, since a row
 //! never repeats an id — makes the array contents a pure function of the
-//! edge *set*, so serial and sharded assembly are byte-identical, and
+//! edge *set*, byte-identical for every slicing of the edges and every
+//! worker count, and
 //! duplicate distance values (ties) have a canonical ordering. The sort
 //! itself never compares floats: `f64::to_bits`, sign-flipped so
 //! unsigned integer order coincides with `f64::total_cmp`, feeds an MSD
@@ -47,7 +48,7 @@
 //! is *bounded by the edge count* (only inclusion-qualified pairs, all
 //! of them edges, pay the extra distance) and is evaluated through the
 //! M-tree's batched SoA leaf sweeps (see
-//! [`disc_mtree::MTree::range_self_join_dist`]); the
+//! [`disc_mtree::MTree::range_self_join`]); the
 //! `zoom_graph_vs_tree` binary gates the bound. Both costs are the
 //! price of answering *every* radius from one build.
 //!
@@ -66,9 +67,16 @@
 //!
 //! [`UnitDiskGraph`] stays the id-sorted reference: the all-pairs
 //! oracle the property tests compare views against, and the target of
-//! [`StratifiedView::to_unit_disk_graph`]. A single radius that never
-//! changes can still be built as a plain [`UnitDiskGraph::from_mtree`]
-//! (cheaper build, half the edge memory).
+//! [`StratifiedView::to_unit_disk_graph`].
+//!
+//! ## Building it
+//!
+//! Production builds go through `disc_core::build_sharded_with`, which
+//! feeds its per-shard self-joins and boundary cross-joins to
+//! [`StratifiedDiskGraph::from_dist_edges`] as separate slices.
+//! [`StratifiedDiskGraph::from_mtree`] is the one-tree form of the same
+//! path, [`StratifiedDiskGraph::build`] the O(n²) oracle, and
+//! [`StratifiedDiskGraph::from_csr_parts`] the snapshot load path.
 
 use std::sync::Arc;
 
@@ -108,79 +116,44 @@ impl StratifiedDiskGraph {
     /// M-tree self-join at `r_max` (distance computations are charged to
     /// the tree's counter; the selection/zooming consumers then run at
     /// zero additional distance computations for every radius
-    /// `≤ r_max`). With the `parallel` feature enabled both the
-    /// self-join traversal and the CSR assembly run multi-threaded — the
-    /// graph is byte-identical either way, distance annotations
-    /// included.
-    pub fn from_mtree(tree: &MTree<'_>, r_max: f64) -> Self {
-        let edges = tree.range_self_join_dist(r_max);
-        Self::from_dist_edges_auto(tree.len(), r_max, &edges)
-            .with_permutation(tree.data().permutation().cloned())
-    }
-
-    /// The fail-closed counterpart of
-    /// [`StratifiedDiskGraph::from_mtree`]: typed radius validation
-    /// instead of panics, and an optional [`CancelToken`] polled
-    /// throughout both build phases (self-join traversal and CSR
-    /// assembly). On [`GraphError::Cancelled`] no partial graph escapes
-    /// and the tree's counters account exactly for the work performed.
+    /// `≤ r_max`).
     ///
     /// `config.threads` drives both the traversal worker count and the
-    /// assembly shard count (`0` = auto). The built graph is
-    /// byte-identical to [`StratifiedDiskGraph::from_mtree`]'s for every
-    /// thread count.
-    pub fn from_mtree_checked(
+    /// assembly's row-sort workers (`0` = auto), and `config.cancel` is
+    /// polled throughout both phases. The graph is byte-identical for
+    /// every thread count, distance annotations included. A NaN or
+    /// negative radius fails with [`GraphError::InvalidRadius`]; on
+    /// [`GraphError::Cancelled`] no partial graph escapes and the tree's
+    /// counters account exactly for the work performed.
+    pub fn from_mtree(
         tree: &MTree<'_>,
         r_max: f64,
-        config: SelfJoinConfig,
-        cancel: Option<&CancelToken>,
+        config: SelfJoinConfig<'_>,
     ) -> Result<Self, GraphError> {
-        let edges = tree.range_self_join_dist_checked(r_max, config, cancel)?;
-        Ok(
-            Self::from_dist_edges_checked(tree.len(), r_max, &edges, config.threads, cancel)?
-                .with_permutation(tree.data().permutation().cloned()),
-        )
+        let edges: Vec<DistEdge> = tree.range_self_join(r_max, config)?;
+        let (graph, _) =
+            Self::from_dist_edges(tree.len(), r_max, &[&edges], config.threads, config.cancel)?;
+        Ok(graph.with_permutation(tree.data().permutation().cloned()))
     }
 
-    /// Checked, cancellable CSR assembly from a distance-annotated edge
-    /// list (the assembly half of
-    /// [`StratifiedDiskGraph::from_mtree_checked`]). `shards == 0`
-    /// picks one shard per core with the usual serial fallback.
-    pub fn from_dist_edges_checked(
-        n: usize,
-        r_max: f64,
-        edges: &[DistEdge],
-        shards: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Self, GraphError> {
-        if r_max.is_nan() || r_max < 0.0 {
-            return Err(GraphError::InvalidRadius(r_max));
-        }
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) =
-            crate::csr::assemble_dist_checked(n, edges, shards, cancel)?;
-        Ok(Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        })
-    }
-
-    /// Multi-source counterpart of
-    /// [`StratifiedDiskGraph::from_dist_edges_checked`] for the sharded
-    /// build: assembles one graph from several per-task edge slices
-    /// (intra-shard self-joins plus boundary cross-joins) without ever
-    /// concatenating them into one allocation. Offsets are pure degree
-    /// counts and rows sort by the total `(distance, id)` order, so the
-    /// result is byte-identical to the single-source assembly over any
-    /// interleaving of the slices — the property the sharded build's
-    /// snapshot-identity gate rests on. `workers` drives the parallel
-    /// row-sort phase (`0` = auto). The returned [`AssemblyBreakdown`]
-    /// separates the merge (degree count + fill over the slices) from
-    /// the row-sort phase for the scale bench's per-phase report.
-    pub fn from_dist_edge_slices_checked(
+    /// Assembles the stratified CSR over `n` vertices from one or more
+    /// distance-annotated edge slices — one self-join's output, or the
+    /// sharded build's intra-shard self-joins plus boundary cross-joins
+    /// — without ever concatenating them. Edges may be in any order and
+    /// orientation; each unordered pair must appear at most once across
+    /// all slices, with its exact distance `≤ r_max`; self-loops are
+    /// rejected (debug).
+    ///
+    /// Offsets are pure degree counts and rows sort by the total
+    /// `(distance, id)` order, so the result is byte-identical over any
+    /// slicing of the same edge set and for every worker count — the
+    /// property the sharded build's snapshot-identity gate rests on.
+    /// `workers` drives the parallel row-sort phase (`0` = auto), and
+    /// `cancel` is polled every few thousand edges and rows. The
+    /// returned [`AssemblyBreakdown`] separates the merge (degree count
+    /// and fill over the slices) from the row-sort phase for the build's
+    /// per-phase report.
+    pub fn from_dist_edges(
         n: usize,
         r_max: f64,
         slices: &[&[DistEdge]],
@@ -194,7 +167,7 @@ impl StratifiedDiskGraph {
             debug_validate_distances(r_max, slice);
         }
         let ((offsets, dists, neighbors), timings) =
-            crate::csr::assemble_dist_multi_checked(n, slices, workers, cancel)?;
+            crate::csr::assemble_dist(n, slices, workers, cancel)?;
         let graph = Self {
             radius: r_max,
             offsets,
@@ -294,22 +267,6 @@ impl StratifiedDiskGraph {
         })
     }
 
-    /// The assembly half of [`StratifiedDiskGraph::from_mtree`]: picks
-    /// the sharded (auto shard count) or serial CSR path exactly as the
-    /// production build does — sharded when the `parallel` feature is
-    /// on, serial otherwise. Exposed so benchmarks timing the build
-    /// phases separately measure the same pipeline `from_mtree` runs.
-    pub fn from_dist_edges_auto(n: usize, r_max: f64, edges: &[DistEdge]) -> Self {
-        #[cfg(feature = "parallel")]
-        {
-            Self::from_dist_edges_sharded(n, r_max, edges, 0)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            Self::from_dist_edges(n, r_max, edges)
-        }
-    }
-
     /// Materialises the stratified graph by examining all pairs (O(n²);
     /// the validation reference the property tests compare against).
     pub fn build(data: &Dataset, r_max: f64) -> Self {
@@ -324,55 +281,10 @@ impl StratifiedDiskGraph {
                 }
             }
         }
-        Self::from_dist_edges(n, r_max, &edges).with_permutation(data.permutation().cloned())
-    }
-
-    /// Assembles the stratified CSR from a distance-annotated undirected
-    /// edge list over `n` vertices. Edges may be in any order and
-    /// orientation; each unordered pair must appear at most once, with
-    /// its exact distance `≤ r_max`; self-loops are rejected (debug).
-    pub fn from_dist_edges(n: usize, r_max: f64, edges: &[DistEdge]) -> Self {
-        assert!(r_max >= 0.0, "radius must be non-negative");
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) = crate::csr::assemble_dist(n, edges);
-        Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        }
-    }
-
-    /// [`StratifiedDiskGraph::from_dist_edges`] as a parallel counting
-    /// sort over `std::thread::scope` workers — the same shard plan as
-    /// [`UnitDiskGraph::from_edges_sharded`], writing the `dists` /
-    /// `neighbors` arrays directly. Byte-identical `offsets` /
-    /// `neighbors` / `dists` for every shard count: offsets are pure
-    /// degree counts, and each row's `(distance, id)` sort key is a
-    /// total order (ids are unique within a row), so row content is
-    /// independent of fill order.
-    ///
-    /// `shards == 0` picks one shard per available core and falls back
-    /// to the serial assembly when that is 1 or the input is small; an
-    /// explicit shard count is honoured exactly (the concurrency tests
-    /// force 1, 2, 3 and 8).
-    pub fn from_dist_edges_sharded(
-        n: usize,
-        r_max: f64,
-        edges: &[DistEdge],
-        shards: usize,
-    ) -> Self {
-        assert!(r_max >= 0.0, "radius must be non-negative");
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) = crate::csr::assemble_dist_sharded(n, edges, shards);
-        Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        }
+        let Ok((graph, _)) = Self::from_dist_edges(n, r_max, &[&edges], 1, None) else {
+            unreachable!("the radius is validated and no token can cancel")
+        };
+        graph.with_permutation(data.permutation().cloned())
     }
 
     /// Attaches (or clears) the internal↔external id bijection — the
@@ -854,8 +766,8 @@ impl StratifiedDiskGraph {
     }
 }
 
-/// Wall-clock split of the multi-source CSR assembly
-/// ([`StratifiedDiskGraph::from_dist_edge_slices_checked`]): the merge
+/// Wall-clock split of the CSR assembly
+/// ([`StratifiedDiskGraph::from_dist_edges`]): the merge
 /// walk (degree count + fill over the edge slices) vs the parallel
 /// row-sort phase. Consumed by the sharded build's per-phase stats.
 #[derive(Clone, Copy, Debug, Default)]
@@ -961,7 +873,7 @@ impl StratifiedView<'_> {
 mod tests {
     use super::*;
     use disc_metric::{Metric, Point};
-    use disc_mtree::{MTreeConfig, SelfJoinConfig};
+    use disc_mtree::MTreeConfig;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -982,6 +894,24 @@ mod tests {
             })
             .collect();
         Dataset::new("random", metric, pts)
+    }
+
+    /// The annotated self-join-built graph at `r` (auto thread count).
+    fn from_tree(tree: &MTree<'_>, r: f64) -> StratifiedDiskGraph {
+        StratifiedDiskGraph::from_mtree(tree, r, SelfJoinConfig::default()).expect("valid radius")
+    }
+
+    /// Single-slice, single-worker assembly of a hand-built edge list.
+    fn assembled(n: usize, r_max: f64, edges: &[DistEdge]) -> StratifiedDiskGraph {
+        StratifiedDiskGraph::from_dist_edges(n, r_max, &[edges], 1, None)
+            .expect("valid radius")
+            .0
+    }
+
+    /// The annotated self-join at a forced thread count.
+    fn annotated(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<DistEdge> {
+        tree.range_self_join(r, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius")
     }
 
     /// Prefix views at every radius of the sweep equal the plain graph
@@ -1006,7 +936,7 @@ mod tests {
     fn rows_are_distance_sorted_with_exact_distances() {
         let data = random_data_metric(150, 60, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 0.3);
+        let g = from_tree(&tree, 0.3);
         for v in g.vertices() {
             let (ids, ds) = (g.neighbors(v), g.dists(v));
             for (k, (&u, &d)) in ids.iter().zip(ds).enumerate() {
@@ -1026,7 +956,7 @@ mod tests {
         let data = random_data_metric(120, 61, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         let r_max = 0.25;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_max);
+        let g = from_tree(&tree, r_max);
         let view = g.view(r_max);
         assert_eq!(view.edge_count(), g.edge_count());
         assert_eq!(
@@ -1052,7 +982,7 @@ mod tests {
             ],
         );
         let tree = MTree::build(&data, MTreeConfig::with_capacity(2));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 2.0);
+        let g = from_tree(&tree, 2.0);
         let view = g.view(0.0);
         assert_eq!(view.neighbors(0), &[1]);
         assert_eq!(view.neighbors(1), &[0]);
@@ -1069,7 +999,7 @@ mod tests {
         let pts: Vec<Point> = (0..9).map(|i| Point::new2(i as f64 * 0.1, 0.0)).collect();
         let data = Dataset::new("line", Metric::Euclidean, pts);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 1.0);
+        let g = from_tree(&tree, 1.0);
         // Mid-vertex 4 has two neighbours at each of distances ~0.1..0.4.
         let ds = g.dists(4);
         assert_eq!(ds.len(), 8);
@@ -1089,7 +1019,7 @@ mod tests {
             vec![Point::new2(0.4, 0.6); n],
         );
         let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 0.5);
+        let g = from_tree(&tree, 0.5);
         assert_eq!(g.edge_count(), n * (n - 1) / 2);
         // Every prefix — including r' = 0 — is the complete graph.
         for r in [0.0, 0.25, 0.5] {
@@ -1103,20 +1033,19 @@ mod tests {
 
     #[test]
     fn degenerate_sizes_zero_and_one() {
-        let empty = StratifiedDiskGraph::from_dist_edges(0, 0.5, &[]);
+        let empty = assembled(0, 0.5, &[]);
         assert!(empty.is_empty());
         assert_eq!(empty.offsets(), &[0]);
         assert_eq!(empty.view(0.5).edge_count(), 0);
-        for shards in [1, 2, 3, 8] {
-            assert_eq!(
-                StratifiedDiskGraph::from_dist_edges_sharded(0, 0.5, &[], shards),
-                empty
-            );
+        for workers in [1, 2, 3, 8] {
+            let (g, _) = StratifiedDiskGraph::from_dist_edges(0, 0.5, &[], workers, None)
+                .expect("valid radius");
+            assert_eq!(g, empty);
         }
 
         let one_pt = Dataset::new("one", Metric::Euclidean, vec![Point::new2(0.5, 0.5)]);
         let tree = MTree::build(&one_pt, MTreeConfig::default());
-        let one = StratifiedDiskGraph::from_mtree(&tree, 10.0);
+        let one = from_tree(&tree, 10.0);
         assert_eq!(one.len(), 1);
         assert!(one.neighbors(0).is_empty());
         assert_eq!(one.view(1.0).degree(0), 0);
@@ -1127,11 +1056,15 @@ mod tests {
         let data = random_data_metric(250, 62, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         for r in [0.0, 0.05, 0.2, 2.0] {
-            let edges = tree.range_self_join_dist_serial(r);
-            let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
+            let edges = annotated(&tree, r, 1);
+            let serial = assembled(data.len(), r, &edges);
+            let sharded_with = |workers: usize| {
+                StratifiedDiskGraph::from_dist_edges(data.len(), r, &[&edges], workers, None)
+                    .expect("valid radius")
+                    .0
+            };
             for shards in [1, 2, 3, 8] {
-                let sharded =
-                    StratifiedDiskGraph::from_dist_edges_sharded(data.len(), r, &edges, shards);
+                let sharded = sharded_with(shards);
                 assert_eq!(sharded.offsets(), serial.offsets(), "shards={shards} r={r}");
                 assert_eq!(
                     sharded.neighbors_flat(),
@@ -1144,22 +1077,13 @@ mod tests {
                     "shards={shards} r={r}"
                 );
             }
-            assert_eq!(
-                StratifiedDiskGraph::from_dist_edges_sharded(
-                    data.len(),
-                    r,
-                    &edges,
-                    data.len() + 50
-                ),
-                serial
-            );
+            assert_eq!(sharded_with(data.len() + 50), serial);
         }
     }
 
     #[test]
     fn from_dist_edges_any_orientation_and_order() {
-        let g =
-            StratifiedDiskGraph::from_dist_edges(4, 1.0, &[(2, 0, 0.7), (3, 2, 0.2), (0, 1, 0.5)]);
+        let g = assembled(4, 1.0, &[(2, 0, 0.7), (3, 2, 0.2), (0, 1, 0.5)]);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.dists(0), &[0.5, 0.7]);
         assert_eq!(g.neighbors(2), &[3, 0]); // distance-sorted, not id-sorted
@@ -1172,7 +1096,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "view radius")]
     fn view_beyond_r_max_is_rejected() {
-        let g = StratifiedDiskGraph::from_dist_edges(2, 0.5, &[(0, 1, 0.3)]);
+        let g = assembled(2, 0.5, &[(0, 1, 0.3)]);
         let _ = g.view(0.6);
     }
 
@@ -1205,13 +1129,10 @@ mod tests {
             let r_view = if metric.is_discrete() { r_view.floor() } else { r_view };
 
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let edges = tree.range_self_join_dist_with(
-                r_max,
-                SelfJoinConfig::with_threads(threads),
-            );
-            let g = StratifiedDiskGraph::from_dist_edges_sharded(
-                data.len(), r_max, &edges, threads,
-            );
+            let edges = annotated(&tree, r_max, threads);
+            let (g, _) = StratifiedDiskGraph::from_dist_edges(
+                data.len(), r_max, &[&edges], threads, None,
+            ).expect("valid radius");
             prop_assert_eq!(
                 &g,
                 &StratifiedDiskGraph::build(&data, r_max),
@@ -1233,15 +1154,11 @@ mod tests {
     fn checked_build_is_byte_identical_to_plain_build() {
         let data = random_data_metric(250, 5, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let plain = StratifiedDiskGraph::from_mtree(&tree, 0.3);
-        for threads in [1, 3] {
-            let checked = StratifiedDiskGraph::from_mtree_checked(
-                &tree,
-                0.3,
-                SelfJoinConfig::with_threads(threads),
-                None,
-            )
-            .expect("uncancelled build succeeds");
+        let plain = StratifiedDiskGraph::build(&data, 0.3);
+        for threads in [0, 1, 3] {
+            let checked =
+                StratifiedDiskGraph::from_mtree(&tree, 0.3, SelfJoinConfig::with_threads(threads))
+                    .expect("uncancelled build succeeds");
             assert_eq!(checked.offsets(), plain.offsets());
             assert_eq!(checked.neighbors_flat(), plain.neighbors_flat());
             assert_eq!(
@@ -1264,16 +1181,10 @@ mod tests {
         let data = random_data_metric(60, 6, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::default());
         for r in [f64::NAN, -1.0] {
-            let err = StratifiedDiskGraph::from_mtree_checked(
-                &tree,
-                r,
-                SelfJoinConfig::with_threads(1),
-                None,
-            )
-            .unwrap_err();
+            let err = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::with_threads(1))
+                .unwrap_err();
             assert!(matches!(err, GraphError::InvalidRadius(_)), "r={r}: {err}");
-            let err =
-                StratifiedDiskGraph::from_dist_edges_checked(10, r, &[], 1, None).unwrap_err();
+            let err = StratifiedDiskGraph::from_dist_edges(10, r, &[], 1, None).unwrap_err();
             assert!(matches!(err, GraphError::InvalidRadius(_)), "r={r}: {err}");
         }
     }
@@ -1282,25 +1193,18 @@ mod tests {
     fn checked_build_cancels_cleanly() {
         let data = random_data_metric(300, 7, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let full = StratifiedDiskGraph::from_mtree(&tree, 0.3);
+        let full = from_tree(&tree, 0.3);
         let token = CancelToken::new();
         token.cancel();
-        let err = StratifiedDiskGraph::from_mtree_checked(
-            &tree,
-            0.3,
-            SelfJoinConfig::with_threads(2),
-            Some(&token),
-        )
-        .unwrap_err();
+        let config = SelfJoinConfig {
+            threads: 2,
+            cancel: Some(&token),
+        };
+        let err = StratifiedDiskGraph::from_mtree(&tree, 0.3, config).unwrap_err();
         assert_eq!(err, GraphError::Cancelled);
         // Retry without the token reproduces the build byte for byte.
-        let retry = StratifiedDiskGraph::from_mtree_checked(
-            &tree,
-            0.3,
-            SelfJoinConfig::with_threads(2),
-            None,
-        )
-        .expect("retry succeeds");
+        let retry = StratifiedDiskGraph::from_mtree(&tree, 0.3, SelfJoinConfig::with_threads(2))
+            .expect("retry succeeds");
         assert_eq!(retry, full);
     }
 
@@ -1308,24 +1212,19 @@ mod tests {
     fn assembly_cancellation_drops_the_partial_csr() {
         let data = random_data_metric(200, 8, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let edges = tree.range_self_join_dist(0.4);
+        let edges = annotated(&tree, 0.4, 0);
         assert!(!edges.is_empty());
         let token = CancelToken::new();
         token.cancel();
-        for shards in [1, 3] {
-            let err = StratifiedDiskGraph::from_dist_edges_checked(
-                200,
-                0.4,
-                &edges,
-                shards,
-                Some(&token),
-            )
-            .unwrap_err();
+        for workers in [1, 3] {
+            let err =
+                StratifiedDiskGraph::from_dist_edges(200, 0.4, &[&edges], workers, Some(&token))
+                    .unwrap_err();
             assert_eq!(err, GraphError::Cancelled);
         }
-        // The same call without a token matches the plain assembly.
-        let plain = StratifiedDiskGraph::from_dist_edges(200, 0.4, &edges);
-        let checked = StratifiedDiskGraph::from_dist_edges_checked(200, 0.4, &edges, 3, None)
+        // The same call without a token matches the one-worker assembly.
+        let plain = assembled(200, 0.4, &edges);
+        let (checked, _) = StratifiedDiskGraph::from_dist_edges(200, 0.4, &[&edges], 3, None)
             .expect("uncancelled assembly succeeds");
         assert_eq!(checked, plain);
     }
@@ -1341,7 +1240,7 @@ mod tests {
             let r_max = if metric == Metric::Hamming { 2.0 } else { 0.3 };
             let data = random_data_metric(120, 9, metric);
             let tree = MTree::build(&data, MTreeConfig::default());
-            let g = StratifiedDiskGraph::from_mtree(&tree, r_max);
+            let g = from_tree(&tree, r_max);
             let rebuilt = StratifiedDiskGraph::from_csr_parts(
                 g.radius(),
                 g.offsets().to_vec(),
@@ -1572,20 +1471,22 @@ mod tests {
         let data = random_data_metric(150, 78, Metric::Euclidean);
         let config = MTreeConfig::default();
         let tree = MTree::build(&data, config);
-        let edges = tree.range_self_join_dist(0.25);
-        let single = StratifiedDiskGraph::from_dist_edges(data.len(), 0.25, &edges);
+        let edges = annotated(&tree, 0.25, 0);
+        let single = assembled(data.len(), 0.25, &edges);
         for cut in [0, 1, edges.len() / 2, edges.len()] {
             let (a, b) = edges.split_at(cut);
-            let empty: &[disc_mtree::DistEdge] = &[];
-            let (multi, _) = StratifiedDiskGraph::from_dist_edge_slices_checked(
-                data.len(),
-                0.25,
-                &[a, empty, b],
-                1,
-                None,
-            )
-            .expect("valid radius");
-            assert_eq!(single, multi, "cut={cut}");
+            let empty: &[DistEdge] = &[];
+            for workers in [1, 3] {
+                let (multi, _) = StratifiedDiskGraph::from_dist_edges(
+                    data.len(),
+                    0.25,
+                    &[a, empty, b],
+                    workers,
+                    None,
+                )
+                .expect("valid radius");
+                assert_eq!(single, multi, "cut={cut} workers={workers}");
+            }
         }
     }
 
@@ -1627,7 +1528,7 @@ mod tests {
 
     #[test]
     fn mutation_rejects_malformed_input_with_typed_errors() {
-        let mut g = StratifiedDiskGraph::from_dist_edges(3, 0.5, &[(0, 1, 0.1), (1, 2, 0.2)]);
+        let mut g = assembled(3, 0.5, &[(0, 1, 0.1), (1, 2, 0.2)]);
         assert_eq!(
             g.insert_object(3, &[(9, 0.1)]).unwrap_err(),
             GraphError::NeighborOutOfRange {
@@ -1652,7 +1553,7 @@ mod tests {
             g.remove_object(7).unwrap_err(),
             GraphError::VertexOutOfRange { id: 7, len: 3 }
         );
-        let mut one = StratifiedDiskGraph::from_dist_edges(1, 0.5, &[]);
+        let mut one = assembled(1, 0.5, &[]);
         assert_eq!(one.remove_object(0).unwrap_err(), GraphError::LastVertex);
     }
 

@@ -6,8 +6,9 @@
 //! graph is not instant either; a serving process must be able to
 //! abandon either cleanly — on shutdown, on a request deadline, on
 //! operator interrupt — without poisoning shared state. [`CancelToken`]
-//! is the cooperative primitive the work loops poll: the graph builders
-//! (`from_mtree_checked`) and every `*_checked` selection runner in
+//! is the cooperative primitive the work loops poll: the graph build
+//! (the M-tree self-join's `SelfJoinConfig::cancel`, the CSR assembly
+//! and `build_sharded_with`) and every `*_checked` selection runner in
 //! `disc-core` take one, which is how the `disc serve` worker pool
 //! enforces per-request deadlines.
 //!

@@ -2,9 +2,10 @@
 //!
 //! ## The id contract
 //!
-//! Locality-aware renumbering (objects relabeled by M-tree leaf order so
-//! CSR fills and adjacency scans touch near-contiguous rows) splits the
-//! id space in two:
+//! Locality-aware renumbering (the sharded build renumbers objects into
+//! its canonical spatial split order, so each shard is a contiguous id
+//! range and adjacency scans touch near-contiguous rows) splits the id
+//! space in two:
 //!
 //! * **internal ids** — positions in a (possibly renumbered) [`Dataset`]'s
 //!   coordinate buffer. Everything that indexes arrays uses these: the

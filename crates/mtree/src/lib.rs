@@ -22,10 +22,11 @@
 //! * **a batched range self-join** ([`MTree::range_self_join`]) that
 //!   materialises the whole neighbourhood graph `G_{P,r}` in one
 //!   dual-tree traversal with node-pair pruning — the bulk counterpart
-//!   of issuing one range query per object. Behind the `parallel`
-//!   feature the traversal fans out over `std::thread::scope` workers
-//!   with byte-identical output and exact counters
-//!   ([`SelfJoinConfig`] forces the thread count in tests);
+//!   of issuing one range query per object. It emits plain or
+//!   distance-annotated edges ([`JoinEdge`]) and fans out over
+//!   `std::thread::scope` workers with byte-identical output and exact
+//!   counters ([`SelfJoinConfig`] picks the thread count and an optional
+//!   cancel token);
 //! * **fat-factor computation** ([`stats`]) for the Figure 10 experiment;
 //! * **sharded-build primitives** — a spatial partitioner with a
 //!   shard-count-independent canonical order ([`ShardPlan`]),
@@ -50,7 +51,7 @@ pub use color::{Color, ColorState};
 pub use error::JoinError;
 pub use node::{LeafEntry, Node, NodeId, NodeKind};
 pub use query::RangeHit;
-pub use selfjoin::{DistEdge, SelfJoinConfig};
+pub use selfjoin::{DistEdge, JoinEdge, SelfJoinConfig};
 pub use shard::ShardPlan;
 pub use split::{PartitionPolicy, PromotePolicy, SplitPolicy};
 pub use stats::TreeStats;

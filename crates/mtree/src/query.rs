@@ -25,7 +25,10 @@
 //! triangle inequality — so whenever `|d(q, p) − d(e, p)| > r + radius(e)`
 //! the entry (child subtree or leaf object) is discarded *without
 //! computing `d(q, e)`*. Hit sets are identical with the lemma on or off;
-//! only [`MTree::distance_computations`] changes.
+//! only [`MTree::distance_computations`] changes. Every exclusion test
+//! keeps a relative ulp margin scaled to the rounded distances it reads
+//! (the self-join's rule), so a point at distance exactly `r` is never
+//! dropped by rounding in a bound.
 //!
 //! ## Scratch buffers
 //!
@@ -38,6 +41,7 @@ use disc_metric::{ObjId, Point};
 
 use crate::color::ColorState;
 use crate::node::{NodeId, NodeKind};
+use crate::selfjoin::excludes;
 use crate::tree::MTree;
 
 /// One range-query result: an object and its distance from the query.
@@ -373,7 +377,9 @@ impl MTree<'_> {
         };
         if let Some(dq) = d_q_parent_pivot {
             // Parent-distance lemma: d(q, pivot) ≥ |d(q, p) − d(pivot, p)|.
-            if (dq - c.dist_to_parent).abs() > r + c.radius {
+            let bound = r + c.radius;
+            let scale = dq + c.dist_to_parent + bound;
+            if excludes((dq - c.dist_to_parent).abs(), bound, scale, q.len()) {
                 return;
             }
         }
@@ -383,7 +389,7 @@ impl MTree<'_> {
             // so every object below is a hit — enumerate them with zero
             // further distance computations.
             self.collect_subtree(child, d + c.radius, colors, hits);
-        } else if d <= r + c.radius {
+        } else if !excludes(d, r + c.radius, d + r + c.radius, q.len()) {
             self.search_subtree(child, q, r, Some(d), colors, hits);
         }
     }
@@ -471,6 +477,7 @@ impl MTree<'_> {
     ) {
         let node = self.node(leaf);
         let entries = node.leaf_entries();
+        let dim = q.len();
         // The vantage bounds cost one distance each per scanned leaf;
         // they are computed lazily — only once an entry survives the
         // pivot bound — and only for leaves big enough to amortise them.
@@ -480,7 +487,12 @@ impl MTree<'_> {
         for e in entries {
             if let Some(dq) = d_q_pivot {
                 // Exclusion: the entry provably lies outside the ball.
-                if (dq - e.dist_to_pivot).abs() > r {
+                if excludes(
+                    (dq - e.dist_to_pivot).abs(),
+                    r,
+                    dq + e.dist_to_pivot + r,
+                    dim,
+                ) {
                     continue;
                 }
                 // Inclusion (object-only collectors): the entry provably
@@ -493,7 +505,12 @@ impl MTree<'_> {
             if use_vantages {
                 if let Some(v) = node.vantage {
                     let dv = *d_q_vantage.get_or_insert_with(|| self.dist_q(v, q));
-                    if (dv - e.dist_to_vantage).abs() > r {
+                    if excludes(
+                        (dv - e.dist_to_vantage).abs(),
+                        r,
+                        dv + e.dist_to_vantage + r,
+                        dim,
+                    ) {
                         continue;
                     }
                     if !S::NEEDS_DIST && dv + e.dist_to_vantage <= r {
@@ -503,7 +520,8 @@ impl MTree<'_> {
                 }
                 if let Some(v2) = node.vantage2 {
                     let dv2 = *d_q_vantage2.get_or_insert_with(|| self.dist_q(v2, q));
-                    if (dv2 - e.dist_to_vantage2).abs() > r {
+                    let scale = dv2 + e.dist_to_vantage2 + r;
+                    if excludes((dv2 - e.dist_to_vantage2).abs(), r, scale, dim) {
                         continue;
                     }
                     if !S::NEEDS_DIST && dv2 + e.dist_to_vantage2 <= r {
@@ -562,6 +580,41 @@ mod tests {
         let mut ids: Vec<ObjId> = hits.iter().map(|h| h.object).collect();
         ids.sort_unstable();
         ids
+    }
+
+    #[test]
+    fn points_exactly_at_the_radius_are_never_pruned() {
+        // Coordinates in hundredths: many objects sit exactly at radii
+        // such as 0.1 or 0.2 from a query, where a bound built from
+        // rounded pivot distances can land an ulp above the object's
+        // own computed distance.
+        let n = 300;
+        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+            let pts = (0..n)
+                .map(|i| Point::new2((i * 37 % 100) as f64 * 0.01, (i * 61 % 100) as f64 * 0.01))
+                .collect();
+            let data = Dataset::new("hundredths", metric, pts);
+            for cap in [4, 8, 50] {
+                let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
+                for r in [0.1, 0.2, 0.3] {
+                    for center in 0..n {
+                        let mut want = neighbors::closed_neighbors(&data, center, r);
+                        want.sort_unstable();
+                        let what = format!("{metric:?} cap={cap} r={r} center={center}");
+                        assert_eq!(
+                            sorted_ids(&tree.range_query_obj(center, r)),
+                            want,
+                            "top-down {what}"
+                        );
+                        assert_eq!(
+                            sorted_ids(&tree.range_query_bottom_up(center, r, None, false)),
+                            want,
+                            "bottom-up {what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,15 @@
 //!
 //! None of the bounds is approximate: the emitted edge set is exactly
 //! the O(n²) scan's (the property tests in `disc-graph` and the
-//! workspace concurrency tier pin this on all four metrics).
+//! workspace concurrency tier pin this on all four metrics). Every
+//! bound is a sum of independently rounded distances, so both sides
+//! carry a relative ulp margin: an inclusion shortcut fires only when
+//! the bound clears `r` by the margin (`within_inclusion`), and an
+//! exclusion fires only when the lower bound exceeds `r` by the margin
+//! scaled to the magnitudes it was computed from (`excludes`). A
+//! pair whose computed distance is within a few ulps of `r` — common on
+//! grid-like data, where many pairs sit exactly at the radius — is
+//! therefore always decided by the computed distance itself.
 //!
 //! ## Blocked leaf kernels
 //!
@@ -59,28 +67,29 @@
 //! stacks) lives in a per-traversal arena that the parallel path reuses
 //! across a worker's tasks.
 //!
-//! ## Plain and distance-annotated output
+//! ## One entry point, two edge types
 //!
-//! The traversal is generic over the edge element it emits:
+//! [`MTree::range_self_join`] is the only public traversal. It is
+//! generic over the sealed [`JoinEdge`] element it emits:
 //!
-//! * **plain** — `(a, b)` pairs ([`MTree::range_self_join`] and
-//!   friends); inclusion shortcuts (leaf-entry and subtree) emit edges
-//!   distance-free;
-//! * **annotated** — [`DistEdge`] triples `(a, b, d(a, b))`
-//!   ([`MTree::range_self_join_dist`] and friends); every edge carries
-//!   its *exact* distance, so inclusion-qualified pairs fill their
-//!   distances through the batched kernels instead of skipping the
-//!   computation. Every distance the annotated traversal computes
-//!   beyond the plain one belongs to an emitted edge, so its counter
-//!   total is bounded by `plain + edges` (the `zoom_graph_vs_tree`
-//!   binary gates this). The emitted edge list — annotations stripped —
-//!   is byte-identical to the plain variant's, and the annotated
-//!   traversal has the same serial/parallel parity guarantees (a test
-//!   pins both).
+//! * **annotated** — [`DistEdge`] triples `(a, b, d(a, b))`, the
+//!   production edge type: every edge carries its *exact* distance, so
+//!   inclusion-qualified pairs fill their distances through the batched
+//!   kernels instead of skipping the computation. This feeds
+//!   `disc-graph`'s `StratifiedDiskGraph`: one self-join at the largest
+//!   radius of interest yields a graph every smaller radius can be read
+//!   out of as a sorted-row prefix;
+//! * **plain** — `(a, b)` pairs, kept as the reference: inclusion
+//!   shortcuts emit edges distance-free, so its counter total is the
+//!   baseline of the `build_dc ≤ plain_dc + edges` gate (every distance
+//!   the annotated traversal computes beyond the plain one belongs to an
+//!   emitted edge), and `disc-graph`'s reference `UnitDiskGraph` is
+//!   built from it.
 //!
-//! The annotated variant feeds `disc-graph`'s `StratifiedDiskGraph`: one
-//! self-join at the largest radius of interest yields a graph every
-//! smaller radius can be read out of as a sorted-row prefix.
+//! Stripped of the annotations, the two edge lists are byte-identical,
+//! with the same serial/parallel parity guarantees (tests pin both).
+//! Radii are validated with a typed [`JoinError`], and the optional
+//! [`CancelToken`] in [`SelfJoinConfig`] is polled at task granularity.
 //!
 //! ## Ordering contract
 //!
@@ -90,15 +99,14 @@
 //! subtrees joined with a known pivot distance), visited in depth-first
 //! serial order; the output is the concatenation of each leaf-level
 //! task's edges in that order. The serial and parallel drivers produce
-//! the *same byte-identical* `Vec` — order included — so downstream CSR
-//! assembly never needs a sort.
-//!
-//! All `*_into` variants clear the output buffer first, matching the
-//! query `*_into` family in [`crate::query`].
+//! the *same byte-identical* `Vec` — order included.
 //!
 //! ## Parallel execution and why it is deterministic
 //!
-//! [`MTree::range_self_join_with`] splits the traversal in two phases:
+//! [`SelfJoinConfig::threads`] picks the driver: `1` runs the serial
+//! traversal, `0` resolves one worker per core (serial on one core or
+//! below `MIN_PARALLEL` = 1,024 objects), and any other count is honoured
+//! exactly. With two or more workers the traversal runs in two phases:
 //!
 //! 1. **Bounded-depth serial expansion.** Starting from the root task
 //!    `Same(root)`, tasks are repeatedly *expanded one level* — exactly
@@ -154,31 +162,29 @@ const MAX_EXPANSION_PASSES: usize = 64;
 /// back to the serial traversal (thread spawn/join dominates).
 const MIN_PARALLEL: usize = 1_024;
 
-/// Tuning knobs for [`MTree::range_self_join_with`].
-///
-/// Primarily a **test override**: the workspace concurrency tier forces
-/// `threads` to 1, 2, 3 and 8 to pin that the parallel traversal is
-/// byte-identical to the serial one regardless of worker count.
-/// Production callers normally use [`MTree::range_self_join`], which
-/// picks the thread count automatically (and only goes parallel when
-/// the `parallel` feature is enabled).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelfJoinConfig {
-    /// Worker thread count. `0` (the default) means one worker per
-    /// available core, falling back to the serial traversal for small
-    /// trees; any explicit value ≥ 2 is honoured exactly, even on small
-    /// inputs (so tests can exercise the parallel machinery on tiny
-    /// trees). An *effective* count of 1 — explicit or auto-detected —
-    /// dispatches straight to the serial traversal: the frontier
-    /// expansion and slot merge only pay off with real workers, and the
-    /// output is byte-identical either way (a test pins this).
+/// Execution options of [`MTree::range_self_join`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SelfJoinConfig<'c> {
+    /// Worker thread count. `1` runs the serial traversal. `0` (the
+    /// default) means one worker per available core, falling back to
+    /// the serial traversal on one core or below `MIN_PARALLEL` (1,024)
+    /// indexed objects. Any explicit value ≥ 2 is honoured exactly,
+    /// even on small inputs (so tests can exercise the parallel
+    /// machinery on tiny trees). Output and counters are byte-identical
+    /// for every value.
     pub threads: usize,
+    /// Optional cooperative cancellation, polled once per node-pair
+    /// task (see [`MTree::range_self_join`]).
+    pub cancel: Option<&'c CancelToken>,
 }
 
-impl SelfJoinConfig {
-    /// Config with an explicit worker count.
+impl SelfJoinConfig<'_> {
+    /// Config with an explicit worker count and no cancellation.
     pub fn with_threads(threads: usize) -> Self {
-        Self { threads }
+        Self {
+            threads,
+            cancel: None,
+        }
     }
 }
 
@@ -188,20 +194,31 @@ impl SelfJoinConfig {
 /// `disc-graph`'s `StratifiedDiskGraph`.
 pub type DistEdge = (ObjId, ObjId, f64);
 
-/// The element type a self-join traversal emits: plain `(a, b)` pairs or
-/// distance-annotated [`DistEdge`]s. Mirrors the `RangeSink::NEEDS_DIST`
-/// pattern in [`crate::query`]: annotated output disables the
-/// distance-free *inclusion* shortcuts (which prove `d(a, b) ≤ r` from
-/// cached reference distances without ever computing `d(a, b)`), so the
-/// annotated traversal computes slightly more distances than the plain
-/// one — every emitted edge then carries its exact distance. Exclusion
-/// bounds are unaffected, and the emitted edge *list* (ignoring the
-/// annotations) is byte-identical between the two modes.
-trait JoinEdge: Copy + Send {
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for (super::ObjId, super::ObjId) {}
+    impl Sealed for super::DistEdge {}
+}
+
+/// The element type [`MTree::range_self_join`] emits: plain `(a, b)`
+/// pairs or distance-annotated [`DistEdge`]s. Sealed — these two are
+/// the only implementations.
+///
+/// Mirrors the `RangeSink::NEEDS_DIST` pattern in [`crate::query`]:
+/// annotated output disables the distance-free *inclusion* shortcuts
+/// (which prove `d(a, b) ≤ r` from cached reference distances without
+/// ever computing `d(a, b)`), so the annotated traversal computes
+/// slightly more distances than the plain one — every emitted edge then
+/// carries its exact distance. Exclusion bounds are unaffected, and the
+/// emitted edge *list* (ignoring the annotations) is byte-identical
+/// between the two modes.
+pub trait JoinEdge: sealed::Sealed + Copy + Send {
     /// Whether emission needs the exact pair distance.
+    #[doc(hidden)]
     const NEEDS_DIST: bool;
     /// Builds an edge; `d` is the exact distance when `NEEDS_DIST`,
     /// otherwise possibly just an upper bound (and ignored).
+    #[doc(hidden)]
     fn make(a: ObjId, b: ObjId, d: f64) -> Self;
 }
 
@@ -334,7 +351,35 @@ impl<E: JoinEdge> JoinBuf<E> {
 /// because the margin scales with the bound.
 #[inline]
 pub(crate) fn within_inclusion(bound: f64, r: f64, dim: usize) -> bool {
-    bound + bound * ((2 * dim + 8) as f64 * f64::EPSILON) <= r
+    bound + bound * ulp_margin(dim) <= r
+}
+
+/// Relative rounding budget of the bound tests: `2·dim + 8` ulps.
+#[inline]
+fn ulp_margin(dim: usize) -> f64 {
+    (2 * dim + 8) as f64 * f64::EPSILON
+}
+
+/// Conservative rejection test for the exclusion bounds: `lower` is a
+/// triangle-inequality lower bound on a pair's distance, assembled from
+/// rounded distances and radii of magnitude up to `scale`. Its rounding
+/// error scales with those magnitudes, not with `lower` itself (two
+/// large pivot distances can differ by a value near `r`), so the pair
+/// is only rejected when `lower` clears `bound` by the margin of
+/// `scale`; anything closer falls through to the computed distance and
+/// the exact `d ≤ r` test.
+#[inline]
+pub(crate) fn excludes(lower: f64, bound: f64, scale: f64, dim: usize) -> bool {
+    lower > bound + scale * ulp_margin(dim)
+}
+
+/// Typed radius validation: NaN and negative radii are rejected before
+/// any traversal state is touched.
+fn validate_radius(r: f64) -> Result<(), JoinError> {
+    if r.is_nan() || r < 0.0 {
+        return Err(JoinError::InvalidRadius(r));
+    }
+    Ok(())
 }
 
 /// Emits one edge in normalised `(min, max)` orientation. `d` is the
@@ -343,15 +388,6 @@ pub(crate) fn within_inclusion(bound: f64, r: f64, dim: usize) -> bool {
 /// false, and then pass an upper bound that the plain edge type
 /// discards).
 #[inline]
-/// Typed radius validation shared by the checked entry points: NaN and
-/// negative radii are rejected before any traversal state is touched.
-fn validate_radius(r: f64) -> Result<(), JoinError> {
-    if r.is_nan() || r < 0.0 {
-        return Err(JoinError::InvalidRadius(r));
-    }
-    Ok(())
-}
-
 fn push_edge_into<E: JoinEdge>(edges: &mut Vec<E>, a: ObjId, b: ObjId, d: f64) {
     if a < b {
         edges.push(E::make(a, b, d));
@@ -455,233 +491,62 @@ impl MTree<'_> {
     /// [module docs](self). This is the edge list of the neighbourhood
     /// graph `G_{P,r}` materialised in one traversal.
     ///
-    /// With the `parallel` feature enabled this dispatches to the
-    /// multi-threaded traversal (auto thread count, byte-identical
-    /// output); without it, to the serial traversal.
-    pub fn range_self_join(&self, r: f64) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join`] into a reusable edge buffer. The
-    /// buffer is cleared first (like every `*_into` API in this crate)
-    /// and refilled in task order, `(a, b)` with `a < b`.
-    pub fn range_self_join_into(&self, r: f64, out: &mut Vec<(ObjId, ObjId)>) {
-        #[cfg(feature = "parallel")]
-        self.range_self_join_with_into(r, SelfJoinConfig::default(), out);
-        #[cfg(not(feature = "parallel"))]
-        self.range_self_join_serial_into(r, out);
-    }
-
-    /// The single-threaded self-join traversal (always available; the
-    /// reference side of the serial-vs-parallel parity gates).
-    pub fn range_self_join_serial(&self, r: f64) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_serial_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_serial`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_serial_into(&self, r: f64, out: &mut Vec<(ObjId, ObjId)>) {
-        self.join_serial_into(r, out);
-    }
-
-    /// The self-join with an explicit thread count (see
-    /// [`SelfJoinConfig`]). Byte-identical output — edge set *and*
-    /// order — and identical [`MTree::distance_computations`] /
-    /// [`MTree::node_accesses`] totals for every thread count,
-    /// including 1.
-    pub fn range_self_join_with(&self, r: f64, config: SelfJoinConfig) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_with_into(r, config, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_with`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_with_into(
+    /// `E` picks the edge type: [`DistEdge`] for the production,
+    /// distance-annotated list, `(ObjId, ObjId)` for the plain reference
+    /// (see [`JoinEdge`]). `config` picks the worker count and an
+    /// optional [`CancelToken`]; the output — edges, order, annotations —
+    /// and the [`MTree::distance_computations`] /
+    /// [`MTree::node_accesses`] totals are identical for every thread
+    /// count.
+    ///
+    /// A NaN or negative `r` is rejected with
+    /// [`JoinError::InvalidRadius`] before any work. On cancellation the
+    /// traversal stops cleanly with [`JoinError::Cancelled`]: no partial
+    /// edge list escapes, and the counters reflect exactly the work
+    /// performed up to the abandoned task (never more, never less), so a
+    /// retried run on a fresh counter baseline is indistinguishable from
+    /// a never-cancelled one.
+    pub fn range_self_join<E: JoinEdge>(
         &self,
         r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<(ObjId, ObjId)>,
-    ) {
-        self.join_with_into(r, config, out);
-    }
-
-    /// The **distance-annotated** range self-join: the same edge list as
-    /// [`MTree::range_self_join`] — same `(a, b)` with `a < b`
-    /// normalisation, same deterministic task order — with every edge
-    /// carrying its exact distance `d(a, b) ≤ r`.
-    ///
-    /// Annotation disables the leaf-level *inclusion* shortcuts (which
-    /// prove `d ≤ r` from cached reference distances without computing
-    /// `d`), so this traversal charges somewhat more
-    /// [`MTree::distance_computations`] than the plain self-join at the
-    /// same radius — the price of exact per-edge distances. Stripped of
-    /// the annotations, the output is byte-identical to the plain
-    /// variant's.
-    ///
-    /// With the `parallel` feature enabled this dispatches to the
-    /// multi-threaded traversal (auto thread count, byte-identical
-    /// output — annotations included); without it, to the serial one.
-    pub fn range_self_join_dist(&self, r: f64) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_dist`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_dist_into(&self, r: f64, out: &mut Vec<DistEdge>) {
-        #[cfg(feature = "parallel")]
-        self.range_self_join_dist_with_into(r, SelfJoinConfig::default(), out);
-        #[cfg(not(feature = "parallel"))]
-        self.range_self_join_dist_serial_into(r, out);
-    }
-
-    /// The single-threaded distance-annotated traversal (always
-    /// available; the reference side of the annotated parity gates).
-    pub fn range_self_join_dist_serial(&self, r: f64) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_serial_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_dist_serial`] into a reusable edge
-    /// buffer (cleared first; same ordering contract).
-    pub fn range_self_join_dist_serial_into(&self, r: f64, out: &mut Vec<DistEdge>) {
-        self.join_serial_into(r, out);
-    }
-
-    /// The distance-annotated self-join with an explicit thread count.
-    /// Byte-identical output — edges, order *and* distance annotations —
-    /// and exact counter parity with
-    /// [`MTree::range_self_join_dist_serial`] for every thread count.
-    pub fn range_self_join_dist_with(&self, r: f64, config: SelfJoinConfig) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_with_into(r, config, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_dist_with`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_dist_with_into(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<DistEdge>,
-    ) {
-        self.join_with_into(r, config, out);
-    }
-
-    /// The fail-closed self-join entry point: validates the radius with
-    /// a typed error (instead of the panicking contract of
-    /// [`MTree::range_self_join`]) and polls an optional
-    /// [`CancelToken`] at task granularity.
-    ///
-    /// On cancellation the traversal stops cleanly with
-    /// [`JoinError::Cancelled`]: no partial edge list escapes, and the
-    /// [`MTree::distance_computations`] / [`MTree::node_accesses`]
-    /// counters reflect exactly the work performed up to the abandoned
-    /// task (never more, never less), so a retried run on a fresh
-    /// counter baseline is indistinguishable from a never-cancelled one.
-    pub fn range_self_join_checked(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<(ObjId, ObjId)>, JoinError> {
+        config: SelfJoinConfig<'_>,
+    ) -> Result<Vec<E>, JoinError> {
         validate_radius(r)?;
-        let mut out = Vec::new();
-        self.join_with_core(r, config, &mut out, cancel)?;
-        Ok(out)
+        Ok(self.join(r, config)?)
     }
 
-    /// Checked counterpart of [`MTree::range_self_join_dist_with`]: the
-    /// distance-annotated self-join with typed radius validation and
-    /// cooperative cancellation. Same contract as
-    /// [`MTree::range_self_join_checked`].
-    pub fn range_self_join_dist_checked(
+    /// Serial driver: on `Err(Cancelled)` the counters are already
+    /// charged for the work performed.
+    fn join_serial<E: JoinEdge>(
         &self,
         r: f64,
-        config: SelfJoinConfig,
         cancel: Option<&CancelToken>,
-    ) -> Result<Vec<DistEdge>, JoinError> {
-        validate_radius(r)?;
-        let mut out = Vec::new();
-        self.join_with_core(r, config, &mut out, cancel)?;
-        Ok(out)
-    }
-
-    /// Generic serial driver behind both edge types.
-    fn join_serial_into<E: JoinEdge>(&self, r: f64, out: &mut Vec<E>) {
-        let Ok(()) = self.join_serial_core(r, out, None) else {
-            unreachable!("cancellation is impossible without a token")
-        };
-    }
-
-    /// Serial driver core: optionally cancellable. On `Err(Cancelled)`
-    /// the counters are already charged for the work performed and
-    /// `out` is left empty (its allocation is preserved).
-    fn join_serial_core<E: JoinEdge>(
-        &self,
-        r: f64,
-        out: &mut Vec<E>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        assert!(r >= 0.0, "radius must be non-negative");
-        out.clear();
+    ) -> Result<Vec<E>, Cancelled> {
         if self.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
-        let mut buf = JoinBuf {
-            edges: std::mem::take(out),
-            ..JoinBuf::default()
-        };
+        let mut buf = JoinBuf::default();
         let run = self.run_task(Task::Same(self.root()), r, &mut buf, cancel);
         // Bulk-charge exactly the work performed — also on the abandoned
         // path, so cancellation never loses or double-counts work.
         self.charge_accesses_bulk(buf.accesses);
         self.charge_distances_bulk(buf.dist_comps);
-        if run.is_err() {
-            buf.edges.clear();
-        }
-        *out = buf.edges;
-        run
+        run.map(|()| buf.edges)
     }
 
-    /// Generic two-phase parallel driver behind both edge types.
-    fn join_with_into<E: JoinEdge>(&self, r: f64, config: SelfJoinConfig, out: &mut Vec<E>) {
-        let Ok(()) = self.join_with_core(r, config, out, None) else {
-            unreachable!("cancellation is impossible without a token")
-        };
-    }
-
-    /// Parallel driver core behind both edge types (see the module docs
-    /// for the determinism argument, which is edge-type independent),
-    /// optionally cancellable at task granularity. On `Err(Cancelled)`
-    /// counters are charged for exactly the work performed across all
-    /// workers and `out` is left empty.
-    fn join_with_core<E: JoinEdge>(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<E>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        assert!(r >= 0.0, "radius must be non-negative");
-        let threads = if config.threads == 0 {
-            let auto = std::thread::available_parallelism()
+    /// Thread-count dispatch plus the two-phase parallel driver (see the
+    /// module docs for the determinism argument, which is edge-type
+    /// independent), cancellable at task granularity. On
+    /// `Err(Cancelled)` counters are charged for exactly the work
+    /// performed across all workers.
+    fn join<E: JoinEdge>(&self, r: f64, config: SelfJoinConfig<'_>) -> Result<Vec<E>, Cancelled> {
+        let cancel = config.cancel;
+        let threads = match config.threads {
+            0 if self.len() < MIN_PARALLEL => 1,
+            0 => std::thread::available_parallelism()
                 .map(|p| p.get())
-                .unwrap_or(1);
-            if auto <= 1 || self.len() < MIN_PARALLEL {
-                return self.join_serial_core(r, out, cancel);
-            }
-            auto
-        } else {
-            config.threads
+                .unwrap_or(1),
+            t => t,
         };
         if threads <= 1 {
             // One worker degenerates to the serial traversal; skip the
@@ -689,31 +554,24 @@ impl MTree<'_> {
             // cost ~60% extra wall clock at an effective thread count
             // of 1). Output and counters are byte-identical either way
             // — the traversal order never depended on the phase split.
-            return self.join_serial_core(r, out, cancel);
+            return self.join_serial(r, cancel);
         }
-        out.clear();
         if self.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
 
         // Phase 1: bounded-depth serial expansion of the task frontier
         // (charges the expansion-level pivot distances and accesses on
         // this thread, exactly as the serial recursion would).
-        let mut expand_buf = JoinBuf {
-            edges: std::mem::take(out),
-            ..JoinBuf::default()
-        };
+        let mut expand_buf = JoinBuf::default();
         let target = threads * TASKS_PER_WORKER;
         let mut tasks = vec![Task::Same(self.root())];
         for _ in 0..MAX_EXPANSION_PASSES {
             if let Some(c) = cancel {
                 if c.checkpoint().is_err() {
-                    // Charge the expansion work already performed and
-                    // surface the cancellation with an empty buffer.
+                    // Charge the expansion work already performed.
                     self.charge_accesses_bulk(expand_buf.accesses);
                     self.charge_distances_bulk(expand_buf.dist_comps);
-                    expand_buf.edges.clear();
-                    *out = expand_buf.edges;
                     return Err(Cancelled);
                 }
             }
@@ -820,12 +678,9 @@ impl MTree<'_> {
         self.charge_accesses_bulk(expand_buf.accesses);
         self.charge_distances_bulk(expand_buf.dist_comps);
         if aborted {
-            expand_buf.edges.clear();
-            *out = expand_buf.edges;
             return Err(Cancelled);
         }
-        *out = expand_buf.edges;
-        Ok(())
+        Ok(expand_buf.edges)
     }
 
     /// Whether a task runs to completion in one `step` (emitting its
@@ -905,13 +760,14 @@ impl MTree<'_> {
         buf: &mut JoinBuf<E>,
         out: &mut Vec<Task>,
     ) -> bool {
+        let dim = self.data().dim();
         match task {
             Task::Same(node) => {
                 let nd = self.node(node);
                 // Subtree inclusion: every pair is within the node's
                 // diameter bound, so the whole complete graph joins.
                 // (The root's radius is unset, hence the pivot gate.)
-                if nd.pivot.is_some() && within_inclusion(2.0 * nd.radius, r, self.data().dim()) {
+                if nd.pivot.is_some() && within_inclusion(2.0 * nd.radius, r, dim) {
                     self.emit_all_same(node, buf);
                     return true;
                 }
@@ -931,16 +787,21 @@ impl MTree<'_> {
                                 // Sibling lower bound through the shared
                                 // parent pivot:
                                 // d(p_i, p_j) ≥ |d(p_i, p) − d(p_j, p)|.
+                                let bound = r + ni.radius + nj.radius;
                                 if lemma
-                                    && (ni.dist_to_parent - nj.dist_to_parent).abs()
-                                        > r + ni.radius + nj.radius
+                                    && excludes(
+                                        (ni.dist_to_parent - nj.dist_to_parent).abs(),
+                                        bound,
+                                        ni.dist_to_parent + nj.dist_to_parent + bound,
+                                        dim,
+                                    )
                                 {
                                     continue;
                                 }
                                 let pi = ni.pivot_id();
                                 let pj = nj.pivot_id();
                                 let d = buf.dist_objs(self, pi, pj);
-                                if d <= r + ni.radius + nj.radius {
+                                if !excludes(d, bound, d + bound, dim) {
                                     out.push(Task::Pair(ci, cj, d));
                                 }
                             }
@@ -955,7 +816,7 @@ impl MTree<'_> {
                 // Subtree inclusion: the two covering balls fit inside
                 // the query radius together, so the full cross product
                 // joins without any further bound checks.
-                if within_inclusion(d_pivots + na.radius + nb.radius, r, self.data().dim()) {
+                if within_inclusion(d_pivots + na.radius + nb.radius, r, dim) {
                     self.emit_all_pair(a, b, d_pivots, buf);
                     return true;
                 }
@@ -990,14 +851,20 @@ impl MTree<'_> {
                             // Parent-distance bound: d(p_f, p_c) is at
                             // least |d(p_f, p_e) − d(p_c, p_e)| for the
                             // expanded node's pivot p_e.
+                            let bound = r + nf.radius + nc.radius;
                             if lemma
-                                && (d_known - nc.dist_to_parent).abs() > r + nf.radius + nc.radius
+                                && excludes(
+                                    (d_known - nc.dist_to_parent).abs(),
+                                    bound,
+                                    d_known + nc.dist_to_parent + bound,
+                                    dim,
+                                )
                             {
                                 continue;
                             }
                             let pc = nc.pivot_id();
                             let d = buf.dist_objs(self, pf, pc);
-                            if d <= r + nf.radius + nc.radius {
+                            if !excludes(d, bound, d + bound, dim) {
                                 out.push(Task::Pair(fixed, child, d));
                             }
                         }
@@ -1023,6 +890,11 @@ impl MTree<'_> {
         let entries = node.leaf_entries();
         let k = entries.len();
         let use_cached = self.config().parent_pruning && node.pivot.is_some();
+        // Exclusion threshold of the cached annuli: every reference
+        // distance in this leaf is at most `2 · radius` (pivot and
+        // vantages all lie within the covering ball), so the margin of
+        // `4 · radius + r` covers every per-pair lower bound below.
+        let r_ex = r + (4.0 * node.radius + r) * ulp_margin(dim);
         let JoinBuf {
             edges,
             dist_comps,
@@ -1069,9 +941,9 @@ impl MTree<'_> {
                 if use_cached {
                     // Exclusion by any cached reference annulus
                     // (pivot, vantage, second vantage).
-                    if (ei.dist_to_pivot - ej.dist_to_pivot).abs() > r
-                        || (ei.dist_to_vantage - ej.dist_to_vantage).abs() > r
-                        || (ei.dist_to_vantage2 - ej.dist_to_vantage2).abs() > r
+                    if (ei.dist_to_pivot - ej.dist_to_pivot).abs() > r_ex
+                        || (ei.dist_to_vantage - ej.dist_to_vantage).abs() > r_ex
+                        || (ei.dist_to_vantage2 - ej.dist_to_vantage2).abs() > r_ex
                     {
                         continue;
                     }
@@ -1154,6 +1026,10 @@ impl MTree<'_> {
         let eb = nb.leaf_entries();
         let pb = nb.pivot_id();
         let lemma = self.config().parent_pruning;
+        // Exclusion threshold of every lower bound below: they are built
+        // from `d_pivots`, left distances up to `radius(A)` and right
+        // distances up to `d_pivots + radius(A)` or `radius(B)`.
+        let r_ex = r + (2.0 * (d_pivots + na.radius + nb.radius) + r) * ulp_margin(dim);
         let JoinBuf {
             edges,
             dist_comps,
@@ -1165,7 +1041,7 @@ impl MTree<'_> {
         // pivot distances d(e1, p_B).
         scratch.left.clear();
         for (i, e1) in ea.iter().enumerate() {
-            if lemma && d_pivots - e1.dist_to_pivot - nb.radius > r {
+            if lemma && d_pivots - e1.dist_to_pivot - nb.radius > r_ex {
                 continue;
             }
             scratch.left.push((i as u32, 0.0));
@@ -1181,7 +1057,7 @@ impl MTree<'_> {
         let kb = eb.len();
         for t in 0..scratch.left.len() {
             let (i, d1b) = scratch.left[t];
-            if d1b > r + nb.radius {
+            if d1b > r_ex + nb.radius {
                 continue;
             }
             let e1 = &ea[i as usize];
@@ -1208,7 +1084,7 @@ impl MTree<'_> {
             scratch.cand.clear();
             for (j, e2) in eb.iter().enumerate() {
                 if lemma {
-                    if (d1b - e2.dist_to_pivot).abs() > r {
+                    if (d1b - e2.dist_to_pivot).abs() > r_ex {
                         continue;
                     }
                     if !E::NEEDS_DIST && within_inclusion(d1b + e2.dist_to_pivot, r, dim) {
@@ -1415,6 +1291,18 @@ mod tests {
         edges
     }
 
+    /// The plain reference join at a forced thread count.
+    fn plain(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<(ObjId, ObjId)> {
+        tree.range_self_join(r, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius")
+    }
+
+    /// The annotated production join at a forced thread count.
+    fn annotated(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<DistEdge> {
+        tree.range_self_join(r, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius")
+    }
+
     fn sorted(mut edges: Vec<(ObjId, ObjId)>) -> Vec<(ObjId, ObjId)> {
         edges.sort_unstable();
         edges
@@ -1425,8 +1313,50 @@ mod tests {
         let data = random_data(250, 31);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         for r in [0.0, 0.03, 0.1, 0.4, 1.5] {
-            let got = sorted(tree.range_self_join(r));
+            let got = sorted(plain(&tree, r, 0));
             assert_eq!(got, scan_edges(&data, r), "r={r}");
+        }
+    }
+
+    /// Coordinates in hundredths of the unit square: many pairs sit
+    /// exactly at radii such as 0.1 or 0.2, where a lower bound built
+    /// from rounded pivot distances can land an ulp above the pair's
+    /// own computed distance.
+    fn hundredths(n: usize, metric: Metric) -> Dataset {
+        let pts = (0..n)
+            .map(|i| Point::new2((i * 37 % 100) as f64 * 0.01, (i * 61 % 100) as f64 * 0.01))
+            .collect();
+        Dataset::new("hundredths", metric, pts)
+    }
+
+    #[test]
+    fn pairs_exactly_at_the_radius_are_never_pruned() {
+        // Several insertion orders and capacities give different trees,
+        // hence different pivots and different rounded bounds; every one
+        // must emit exactly the scan's edges.
+        let n = 300;
+        let orders: [Vec<ObjId>; 3] = [
+            (0..n).collect(),
+            (0..n).rev().collect(),
+            (0..n).map(|i| i * 7 % n).collect(),
+        ];
+        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+            for order in &orders {
+                let data = hundredths(n, metric).renumbered(order);
+                for cap in [4, 8, 50] {
+                    let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
+                    for r in [0.05, 0.1, 0.2, 0.3] {
+                        let want = scan_edges(&data, r);
+                        let what = format!("{metric:?} cap={cap} r={r}");
+                        assert_eq!(sorted(plain(&tree, r, 1)), want, "plain {what}");
+                        let stripped = annotated(&tree, r, 1)
+                            .into_iter()
+                            .map(|(a, b, _)| (a, b))
+                            .collect();
+                        assert_eq!(sorted(stripped), want, "annotated {what}");
+                    }
+                }
+            }
         }
     }
 
@@ -1438,7 +1368,7 @@ mod tests {
             MTreeConfig::with_capacity(6).with_parent_pruning(false),
         );
         for r in [0.05, 0.2] {
-            assert_eq!(sorted(tree.range_self_join(r)), scan_edges(&data, r));
+            assert_eq!(sorted(plain(&tree, r, 0)), scan_edges(&data, r));
         }
     }
 
@@ -1446,7 +1376,7 @@ mod tests {
     fn self_join_emits_each_pair_once() {
         let data = random_data(300, 33);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-        let edges = tree.range_self_join(0.15);
+        let edges = plain(&tree, 0.15, 0);
         let mut seen = std::collections::HashSet::new();
         for &(i, j) in &edges {
             assert!(i < j, "normalised order");
@@ -1459,7 +1389,7 @@ mod tests {
         let data = random_data(600, 34);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(16));
         tree.reset_distance_computations();
-        let edges = tree.range_self_join(0.05);
+        let edges = plain(&tree, 0.05, 0);
         let dc = tree.reset_distance_computations();
         let n = data.len() as u64;
         assert!(
@@ -1475,7 +1405,7 @@ mod tests {
         let data = random_data(150, 35);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         tree.reset_node_accesses();
-        let _ = tree.range_self_join(0.1);
+        let _ = plain(&tree, 0.1, 0);
         assert!(tree.node_accesses() > 0);
     }
 
@@ -1483,10 +1413,8 @@ mod tests {
     fn single_object_and_tiny_trees() {
         let one = Dataset::new("one", Metric::Euclidean, vec![Point::new2(0.5, 0.5)]);
         let tree = MTree::build(&one, MTreeConfig::default());
-        assert!(tree.range_self_join(10.0).is_empty());
-        assert!(tree
-            .range_self_join_with(10.0, SelfJoinConfig::with_threads(4))
-            .is_empty());
+        assert!(plain(&tree, 10.0, 0).is_empty());
+        assert!(plain(&tree, 10.0, 4).is_empty());
 
         let two = Dataset::new(
             "two",
@@ -1494,8 +1422,8 @@ mod tests {
             vec![Point::new2(0.0, 0.0), Point::new2(0.5, 0.0)],
         );
         let tree = MTree::build(&two, MTreeConfig::default());
-        assert_eq!(tree.range_self_join(1.0), vec![(0, 1)]);
-        assert!(tree.range_self_join(0.1).is_empty());
+        assert_eq!(plain(&tree, 1.0, 0), vec![(0, 1)]);
+        assert!(plain(&tree, 0.1, 0).is_empty());
     }
 
     #[test]
@@ -1510,7 +1438,7 @@ mod tests {
             ],
         );
         let tree = MTree::build(&data, MTreeConfig::with_capacity(2));
-        assert_eq!(sorted(tree.range_self_join(0.0)), vec![(0, 1)]);
+        assert_eq!(sorted(plain(&tree, 0.0, 0)), vec![(0, 1)]);
     }
 
     #[test]
@@ -1527,10 +1455,10 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
         let want = scan_edges(&data, 0.0);
         assert_eq!(want.len(), n * (n - 1) / 2);
-        assert_eq!(sorted(tree.range_self_join(0.0)), want);
+        assert_eq!(sorted(plain(&tree, 0.0, 0)), want);
         for threads in [1, 2, 3, 8] {
             assert_eq!(
-                sorted(tree.range_self_join_with(0.0, SelfJoinConfig::with_threads(threads))),
+                sorted(plain(&tree, 0.0, threads)),
                 want,
                 "threads={threads}"
             );
@@ -1542,12 +1470,9 @@ mod tests {
         let data = random_data(80, 36);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(4));
         // The unit square's diameter is √2 < 2.0.
-        let edges = tree.range_self_join(2.0);
+        let edges = plain(&tree, 2.0, 0);
         assert_eq!(edges.len(), 80 * 79 / 2);
-        assert_eq!(
-            tree.range_self_join_with(2.0, SelfJoinConfig::with_threads(3)),
-            edges
-        );
+        assert_eq!(plain(&tree, 2.0, 3), edges);
     }
 
     #[test]
@@ -1558,9 +1483,9 @@ mod tests {
         let data = random_data(350, 37);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         for r in [0.0, 0.05, 0.2, 2.0] {
-            let serial = tree.range_self_join_serial(r);
+            let serial = plain(&tree, r, 1);
             for threads in [1, 2, 3, 8, 64] {
-                let par = tree.range_self_join_with(r, SelfJoinConfig::with_threads(threads));
+                let par = plain(&tree, r, threads);
                 assert_eq!(par, serial, "threads={threads} r={r}");
             }
         }
@@ -1580,12 +1505,12 @@ mod tests {
             );
             tree.reset_distance_computations();
             tree.reset_node_accesses();
-            let serial = tree.range_self_join_serial(0.08);
+            let serial = plain(&tree, 0.08, 1);
             let serial_dc = tree.reset_distance_computations();
             let serial_acc = tree.reset_node_accesses();
             assert!(serial_dc > 0);
             for threads in [1, 2, 3, 8] {
-                let par = tree.range_self_join_with(0.08, SelfJoinConfig::with_threads(threads));
+                let par = plain(&tree, 0.08, threads);
                 let par_dc = tree.reset_distance_computations();
                 let par_acc = tree.reset_node_accesses();
                 assert_eq!(par, serial, "threads={threads}");
@@ -1597,26 +1522,33 @@ mod tests {
 
     #[test]
     fn forced_single_thread_dispatches_to_serial_byte_identically() {
-        // The single-core pessimization fix: an effective thread count
-        // of 1 must take the serial path (no frontier expansion + slot
-        // merge) while producing byte-identical output — edges, order,
-        // annotations — and charging the exact serial counters.
+        // The auto thread count (0) on a tree below the parallel
+        // threshold must take the serial path (no frontier expansion +
+        // slot merge) while producing output byte-identical to both the
+        // forced serial and the forced two-worker traversal — edges,
+        // order, annotations — and charging the exact serial counters.
         let data = random_data(900, 40);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(12));
         for r in [0.0, 0.04, 0.15, 2.0] {
             tree.reset_distance_computations();
             tree.reset_node_accesses();
-            let serial = tree.range_self_join_serial(r);
+            let serial = plain(&tree, r, 1);
             let serial_dc = tree.reset_distance_computations();
             let serial_acc = tree.reset_node_accesses();
-            let one = tree.range_self_join_with(r, SelfJoinConfig::with_threads(1));
-            assert_eq!(one, serial, "plain threads=1 r={r}");
+            let auto = plain(&tree, r, 0);
+            assert_eq!(auto, serial, "plain auto r={r}");
             assert_eq!(tree.reset_distance_computations(), serial_dc, "dc r={r}");
             assert_eq!(tree.reset_node_accesses(), serial_acc, "accesses r={r}");
+            assert_eq!(plain(&tree, r, 2), serial, "plain threads=2 r={r}");
 
-            let serial_d = tree.range_self_join_dist_serial(r);
-            let one_d = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(1));
-            assert_eq!(one_d, serial_d, "annotated threads=1 r={r}");
+            let serial_d = annotated(&tree, r, 1);
+            let auto_d = annotated(&tree, r, 0);
+            assert_eq!(auto_d, serial_d, "annotated auto r={r}");
+            assert_eq!(
+                annotated(&tree, r, 2),
+                serial_d,
+                "annotated threads=2 r={r}"
+            );
         }
     }
 
@@ -1641,39 +1573,19 @@ mod tests {
         // Radii chosen so whole-cluster (0.05), cross-cluster (0.5) and
         // everything (2.0) trigger the inclusion shortcuts.
         for r in [0.05, 0.5, 2.0] {
-            assert_eq!(
-                sorted(tree.range_self_join(r)),
-                scan_edges(&data, r),
-                "r={r}"
-            );
-            for (a, b, d) in tree.range_self_join_dist_serial(r) {
+            assert_eq!(sorted(plain(&tree, r, 0)), scan_edges(&data, r), "r={r}");
+            for (a, b, d) in annotated(&tree, r, 1) {
                 assert_eq!(d.to_bits(), data.dist(a, b).to_bits(), "({a}, {b}) r={r}");
             }
-            let serial = tree.range_self_join_dist_serial(r);
+            let serial = annotated(&tree, r, 1);
             for threads in [2, 3, 8] {
                 assert_eq!(
-                    tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads)),
+                    annotated(&tree, r, threads),
                     serial,
                     "threads={threads} r={r}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn into_variants_clear_the_buffer() {
-        let data = random_data(60, 39);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
-        let mut buf = vec![(7usize, 9usize); 4]; // stale content
-        tree.range_self_join_into(0.1, &mut buf);
-        let fresh = tree.range_self_join(0.1);
-        assert_eq!(buf, fresh, "range_self_join_into must clear first");
-        buf.push((1, 2));
-        tree.range_self_join_serial_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((3, 4));
-        tree.range_self_join_with_into(0.1, SelfJoinConfig::with_threads(2), &mut buf);
-        assert_eq!(buf, fresh);
     }
 
     #[test]
@@ -1688,8 +1600,8 @@ mod tests {
                 MTreeConfig::with_capacity(7).with_parent_pruning(parent_pruning),
             );
             for r in [0.0, 0.05, 0.2, 2.0] {
-                let plain = tree.range_self_join_serial(r);
-                let annotated = tree.range_self_join_dist_serial(r);
+                let plain = plain(&tree, r, 1);
+                let annotated = annotated(&tree, r, 1);
                 let stripped: Vec<(ObjId, ObjId)> =
                     annotated.iter().map(|&(a, b, _)| (a, b)).collect();
                 assert_eq!(stripped, plain, "lemma={parent_pruning} r={r}");
@@ -1702,7 +1614,7 @@ mod tests {
         let data = random_data(220, 51);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         for r in [0.0, 0.08, 0.3] {
-            for (a, b, d) in tree.range_self_join_dist(r) {
+            for (a, b, d) in annotated(&tree, r, 0) {
                 assert!(a < b);
                 assert!(d <= r);
                 // Exact, not a bound: bitwise equal to the dataset's
@@ -1721,9 +1633,9 @@ mod tests {
         let data = random_data(600, 52);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(16));
         tree.reset_distance_computations();
-        let plain = tree.range_self_join_serial(0.05);
+        let plain = plain(&tree, 0.05, 1);
         let plain_dc = tree.reset_distance_computations();
-        let annotated = tree.range_self_join_dist_serial(0.05);
+        let annotated = annotated(&tree, 0.05, 1);
         let annotated_dc = tree.reset_distance_computations();
         assert_eq!(plain.len(), annotated.len());
         assert!(annotated_dc >= plain_dc);
@@ -1738,11 +1650,11 @@ mod tests {
         for r in [0.0, 0.08, 2.0] {
             tree.reset_distance_computations();
             tree.reset_node_accesses();
-            let serial = tree.range_self_join_dist_serial(r);
+            let serial = annotated(&tree, r, 1);
             let serial_dc = tree.reset_distance_computations();
             let serial_acc = tree.reset_node_accesses();
             for threads in [1, 2, 3, 8] {
-                let par = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads));
+                let par = annotated(&tree, r, threads);
                 let par_dc = tree.reset_distance_computations();
                 let par_acc = tree.reset_node_accesses();
                 // Byte-identical includes the f64 annotations.
@@ -1751,22 +1663,6 @@ mod tests {
                 assert_eq!(par_acc, serial_acc, "accesses threads={threads} r={r}");
             }
         }
-    }
-
-    #[test]
-    fn dist_into_variants_clear_the_buffer() {
-        let data = random_data(60, 54);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
-        let fresh = tree.range_self_join_dist(0.1);
-        let mut buf = vec![(7usize, 9usize, 0.5f64); 4];
-        tree.range_self_join_dist_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((1, 2, 0.3));
-        tree.range_self_join_dist_serial_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((3, 4, 0.1));
-        tree.range_self_join_dist_with_into(0.1, SelfJoinConfig::with_threads(2), &mut buf);
-        assert_eq!(buf, fresh);
     }
 
     proptest! {
@@ -1779,12 +1675,12 @@ mod tests {
             let data = random_data(120, seed);
             let want = scan_edges(&data, r);
             let lemma = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            prop_assert_eq!(&sorted(lemma.range_self_join(r)), &want);
-            let plain = MTree::build(
+            prop_assert_eq!(&sorted(plain(&lemma, r, 0)), &want);
+            let no_lemma = MTree::build(
                 &data,
                 MTreeConfig::with_capacity(cap).with_parent_pruning(false),
             );
-            prop_assert_eq!(&sorted(plain.range_self_join(r)), &want);
+            prop_assert_eq!(&sorted(plain(&no_lemma, r, 0)), &want);
         }
 
         /// The parallel traversal is byte-identical to the serial one
@@ -1798,8 +1694,8 @@ mod tests {
         ) {
             let data = random_data(100, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let serial = tree.range_self_join_serial(r);
-            let par = tree.range_self_join_with(r, SelfJoinConfig::with_threads(threads));
+            let serial = plain(&tree, r, 1);
+            let par = plain(&tree, r, threads);
             prop_assert_eq!(par, serial);
         }
 
@@ -1815,21 +1711,34 @@ mod tests {
         ) {
             let data = random_data(100, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let serial = tree.range_self_join_dist_serial(r);
+            let serial = annotated(&tree, r, 1);
             let stripped: Vec<(ObjId, ObjId)> =
                 serial.iter().map(|&(a, b, _)| (a, b)).collect();
-            prop_assert_eq!(&stripped, &tree.range_self_join_serial(r));
+            prop_assert_eq!(&stripped, &plain(&tree, r, 1));
             for &(a, b, d) in &serial {
                 prop_assert_eq!(d.to_bits(), data.dist(a, b).to_bits());
             }
-            let par = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads));
+            let par = annotated(&tree, r, threads);
             prop_assert_eq!(par, serial);
         }
     }
 
     // ------------------------------------------------------------------
-    // Checked entry points: typed radius validation and cancellation
+    // Typed radius validation and cancellation
     // ------------------------------------------------------------------
+
+    type Plain = (ObjId, ObjId);
+
+    /// The one entry point with a forced thread count and an optional
+    /// token.
+    fn join_with<E: JoinEdge>(
+        tree: &MTree<'_>,
+        r: f64,
+        threads: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<E>, JoinError> {
+        tree.range_self_join(r, SelfJoinConfig { threads, cancel })
+    }
 
     #[test]
     fn checked_rejects_nan_and_negative_radius() {
@@ -1837,13 +1746,9 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::default());
         tree.reset_distance_computations();
         for r in [f64::NAN, -0.5, f64::NEG_INFINITY] {
-            let err = tree
-                .range_self_join_checked(r, SelfJoinConfig::default(), None)
-                .unwrap_err();
+            let err = join_with::<Plain>(&tree, r, 0, None).unwrap_err();
             assert!(matches!(err, JoinError::InvalidRadius(_)), "r={r}: {err}");
-            let err = tree
-                .range_self_join_dist_checked(r, SelfJoinConfig::default(), None)
-                .unwrap_err();
+            let err = join_with::<DistEdge>(&tree, r, 0, None).unwrap_err();
             assert!(matches!(err, JoinError::InvalidRadius(_)), "r={r}: {err}");
         }
         // Rejection happens before any traversal state is touched.
@@ -1854,16 +1759,14 @@ mod tests {
     fn checked_without_token_matches_the_plain_join() {
         let data = random_data(200, 7);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let plain = tree.range_self_join_serial(0.3);
+        let reference = plain(&tree, 0.3, 1);
         for threads in [1, 3] {
-            let checked = tree
-                .range_self_join_checked(0.3, SelfJoinConfig::with_threads(threads), None)
+            let checked = join_with::<Plain>(&tree, 0.3, threads, Some(&CancelToken::new()))
                 .expect("uncancelled join succeeds");
-            assert_eq!(checked, plain);
+            assert_eq!(checked, reference);
         }
-        let dist = tree.range_self_join_dist_serial(0.3);
-        let checked = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(3), None)
+        let dist = annotated(&tree, 0.3, 1);
+        let checked = join_with::<DistEdge>(&tree, 0.3, 3, Some(&CancelToken::new()))
             .expect("uncancelled join succeeds");
         assert_eq!(checked, dist);
     }
@@ -1877,9 +1780,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 4] {
-            let err = tree
-                .range_self_join_checked(0.3, SelfJoinConfig::with_threads(threads), Some(&token))
-                .unwrap_err();
+            let err = join_with::<Plain>(&tree, 0.3, threads, Some(&token)).unwrap_err();
             assert_eq!(err, JoinError::Cancelled);
         }
         assert_eq!(tree.distance_computations(), 0);
@@ -1894,9 +1795,7 @@ mod tests {
         // Reference: the full serial run's exact counters and output.
         tree.reset_distance_computations();
         tree.reset_node_accesses();
-        let full = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), None)
-            .expect("uncancelled join succeeds");
+        let full = join_with::<Plain>(&tree, 0.3, 1, None).expect("uncancelled join succeeds");
         let full_dc = tree.reset_distance_computations();
         let full_na = tree.reset_node_accesses();
         assert!(full_dc > 0 && !full.is_empty());
@@ -1904,9 +1803,7 @@ mod tests {
         // Cancel deterministically mid-traversal: the check budget trips
         // after a handful of tasks, long before the join completes.
         let token = CancelToken::with_check_budget(5);
-        let err = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), Some(&token))
-            .unwrap_err();
+        let err = join_with::<Plain>(&tree, 0.3, 1, Some(&token)).unwrap_err();
         assert_eq!(err, JoinError::Cancelled);
         let cancelled_dc = tree.reset_distance_computations();
         let cancelled_na = tree.reset_node_accesses();
@@ -1916,9 +1813,8 @@ mod tests {
 
         // No poisoned state: a retry on the same tree reproduces the
         // full run byte-for-byte with the exact reference counters.
-        let retry = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), None)
-            .expect("retry after cancellation succeeds");
+        let retry =
+            join_with::<Plain>(&tree, 0.3, 1, None).expect("retry after cancellation succeeds");
         assert_eq!(retry, full);
         assert_eq!(tree.reset_distance_computations(), full_dc);
         assert_eq!(tree.reset_node_accesses(), full_na);
@@ -1928,22 +1824,19 @@ mod tests {
     fn parallel_cancellation_leaves_no_partial_state() {
         let data = random_data(400, 13);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let full = tree.range_self_join_dist_with(0.3, SelfJoinConfig::with_threads(4));
+        let full = annotated(&tree, 0.3, 4);
         tree.reset_distance_computations();
         tree.reset_node_accesses();
 
         let token = CancelToken::with_check_budget(10);
-        let err = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(4), Some(&token))
-            .unwrap_err();
+        let err = join_with::<DistEdge>(&tree, 0.3, 4, Some(&token)).unwrap_err();
         assert_eq!(err, JoinError::Cancelled);
         tree.reset_distance_computations();
         tree.reset_node_accesses();
 
         // The retry is byte-identical to the uncancelled parallel run.
-        let retry = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(4), None)
-            .expect("retry after cancellation succeeds");
+        let retry =
+            join_with::<DistEdge>(&tree, 0.3, 4, None).expect("retry after cancellation succeeds");
         assert_eq!(retry, full);
     }
 
@@ -1952,9 +1845,7 @@ mod tests {
         let data = random_data(200, 17);
         let tree = MTree::build(&data, MTreeConfig::default());
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let err = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(2), Some(&token))
-            .unwrap_err();
+        let err = join_with::<Plain>(&tree, 0.3, 2, Some(&token)).unwrap_err();
         assert_eq!(err, JoinError::Cancelled);
     }
 }

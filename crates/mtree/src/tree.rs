@@ -342,91 +342,6 @@ impl<'a> MTree<'a> {
             .collect()
     }
 
-    /// The same tree re-addressed against a renumbered copy of its
-    /// dataset: new id `i` is this tree's id `order[i]` (the contract of
-    /// `Dataset::renumbered(order)`). Structure, covering radii, cached
-    /// distances and SoA lanes are carried over untouched — only the
-    /// stored object ids are rewritten, an O(n + nodes) relabel instead
-    /// of a rebuild — so queries and self-joins on the relabeled tree
-    /// traverse identically and emit edges in the new numbering. Counter
-    /// totals carry over as starting values.
-    ///
-    /// When `order` is this tree's own leaf order
-    /// ([`MTree::objects_in_leaf_order_uncounted`]), the relabeled
-    /// tree's leaf order is exactly `0..n` — the locality-aware
-    /// numbering whose self-join edges land in near-contiguous CSR rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `order` is not a permutation of `0..len()` or `data`
-    /// has a different length; debug builds additionally verify that
-    /// `data.row(i)` holds the coordinates of old object `order[i]`.
-    pub fn relabeled<'b>(&self, data: &'b Dataset, order: &[ObjId]) -> MTree<'b> {
-        assert_eq!(data.len(), self.len(), "relabeled dataset must match");
-        assert_eq!(order.len(), self.len(), "order must cover every object");
-        let mut old_to_new = vec![usize::MAX; order.len()];
-        for (new, &old) in order.iter().enumerate() {
-            assert!(
-                old < order.len() && old_to_new[old] == usize::MAX,
-                "order is not a permutation of 0..{}",
-                order.len()
-            );
-            old_to_new[old] = new;
-        }
-        #[cfg(debug_assertions)]
-        for (new, &old) in order.iter().enumerate() {
-            debug_assert_eq!(
-                data.row(new),
-                self.data.row(old),
-                "row {new} of the relabeled dataset must hold old object {old}"
-            );
-        }
-        let map = |o: ObjId| old_to_new[o];
-        let nodes: Vec<Node> = self
-            .nodes
-            .iter()
-            .map(|n| Node {
-                pivot: n.pivot.map(map),
-                radius: n.radius,
-                vantage: n.vantage.map(map),
-                vantage2: n.vantage2.map(map),
-                dist_to_parent: n.dist_to_parent,
-                parent: n.parent,
-                next_leaf: n.next_leaf,
-                lanes: n.lanes.clone(),
-                kind: match &n.kind {
-                    NodeKind::Internal(children) => NodeKind::Internal(children.clone()),
-                    NodeKind::Leaf(entries) => NodeKind::Leaf(
-                        entries
-                            .iter()
-                            .map(|e| LeafEntry {
-                                object: map(e.object),
-                                ..*e
-                            })
-                            .collect(),
-                    ),
-                },
-            })
-            .collect();
-        let mut obj_leaf = vec![usize::MAX; self.obj_leaf.len()];
-        for (old, &leaf) in self.obj_leaf.iter().enumerate() {
-            obj_leaf[old_to_new[old]] = leaf;
-        }
-        MTree {
-            data,
-            config: self.config,
-            nodes,
-            root: self.root,
-            height: self.height,
-            first_leaf: self.first_leaf,
-            obj_leaf,
-            indexed: self.indexed,
-            accesses: PaddedCounter(AtomicU64::new(self.node_accesses())),
-            dist_comps: PaddedCounter(AtomicU64::new(self.distance_computations())),
-            rng: StdRng::seed_from_u64(self.config.seed),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Insertion
     // ------------------------------------------------------------------
@@ -888,48 +803,6 @@ mod tests {
             b.objects_in_leaf_order_uncounted()
         );
         assert_eq!(a.node_count(), b.node_count());
-    }
-
-    #[test]
-    fn leaf_order_relabel_is_structure_transparent() {
-        let data = random_points(300, 9);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        let order = tree.objects_in_leaf_order_uncounted();
-        let data2 = data.renumbered(&order);
-        let tree2 = tree.relabeled(&data2, &order);
-        // Relabeling by the tree's own leaf order makes the new leaf
-        // order the identity, preserves the structure and the counter
-        // totals, and keeps every invariant (cached distances are
-        // checked against the renumbered dataset's rows).
-        assert_eq!(
-            tree2.objects_in_leaf_order_uncounted(),
-            (0..300).collect::<Vec<_>>()
-        );
-        assert_eq!(tree2.node_count(), tree.node_count());
-        assert_eq!(tree2.height(), tree.height());
-        assert_eq!(tree2.node_accesses(), tree.node_accesses());
-        assert_eq!(tree2.distance_computations(), tree.distance_computations());
-        check_invariants(&tree2).unwrap();
-
-        // Self-join edges are the original's, relabeled: comparing in
-        // the original numbering, the edge multisets must coincide with
-        // bit-identical distances.
-        let relabel = |edges: Vec<(ObjId, ObjId, f64)>, ext: &dyn Fn(ObjId) -> ObjId| {
-            let mut out: Vec<(ObjId, ObjId, u64)> = edges
-                .into_iter()
-                .map(|(a, b, d)| {
-                    let (a, b) = (ext(a), ext(b));
-                    (a.min(b), a.max(b), d.to_bits())
-                })
-                .collect();
-            out.sort_unstable();
-            out
-        };
-        let want = relabel(tree.range_self_join_dist_serial(0.1), &|o| o);
-        let got = relabel(tree2.range_self_join_dist_serial(0.1), &|o| {
-            data2.external_id(o)
-        });
-        assert_eq!(got, want);
     }
 
     #[test]

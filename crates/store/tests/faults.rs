@@ -5,7 +5,7 @@
 
 use disc_graph::{GraphError, StratifiedDiskGraph};
 use disc_metric::{Dataset, Metric, Point};
-use disc_mtree::{MTree, MTreeConfig};
+use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
 use disc_store::fault::{corrupt, stored_checksum};
 use disc_store::{
     decode, encode, fnv1a_64, load, AlignedBytes, Fault, SectionId, StoreError, STREAM_VERSION,
@@ -36,7 +36,8 @@ fn random_data(n: usize, seed: u64, metric: Metric) -> Dataset {
 fn small_snapshot() -> (Dataset, StratifiedDiskGraph, Vec<u8>) {
     let data = random_data(16, 99, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
-    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.5);
+    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.5, SelfJoinConfig::default())
+        .expect("valid radius");
     assert!(graph.offsets()[data.len()] > 0, "corpus needs edges");
     let bytes = encode(&data, &graph).expect("encode valid pair");
     (data, graph, bytes)
@@ -76,7 +77,8 @@ fn section_extents(data: &Dataset, graph: &StratifiedDiskGraph) -> Vec<(SectionI
 fn intact_round_trip_is_byte_identical_with_graph_parity() {
     let data = random_data(300, 7, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
-    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.3);
+    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.3, SelfJoinConfig::default())
+        .expect("valid radius");
     let bytes = encode(&data, &graph).expect("encode");
 
     let view = load(&bytes).expect("intact snapshot loads");
@@ -110,7 +112,8 @@ fn intact_round_trip_is_byte_identical_with_graph_parity() {
         }
     }
     for r in [0.0, 0.1, 0.22, 0.3] {
-        let direct = StratifiedDiskGraph::from_mtree(&tree, r);
+        let direct = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
+            .expect("valid radius");
         let view = graph2.view(r);
         for v in graph2.vertices() {
             assert_eq!(view.neighbors(v), direct.neighbors(v), "v={v} r'={r}");
@@ -379,7 +382,8 @@ fn encode_rejects_inconsistent_inputs() {
     let data = random_data(8, 3, Metric::Euclidean);
     let other = random_data(5, 4, Metric::Euclidean);
     let tree = MTree::build(&other, MTreeConfig::default());
-    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.4);
+    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.4, SelfJoinConfig::default())
+        .expect("valid radius");
     assert_eq!(
         encode(&data, &graph).expect_err("vertex count mismatch"),
         StoreError::VertexCountMismatch {

@@ -5,7 +5,7 @@
 
 use disc_graph::StratifiedDiskGraph;
 use disc_metric::{Dataset, DatasetError, Metric, Point};
-use disc_mtree::{MTree, MTreeConfig};
+use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
 use disc_store::{decode, encode, encode_parts, load, SnapshotParts, StoreError};
 
 const METRICS: [Metric; 4] = [
@@ -52,7 +52,8 @@ fn single_object_round_trips_under_every_metric() {
     for metric in METRICS {
         let data = Dataset::new("one", metric, vec![point(metric, 1.0)]);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.5);
+        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.5, SelfJoinConfig::default())
+            .expect("valid radius");
         assert_eq!(graph.offsets(), &[0, 0], "{metric:?}");
         assert_round_trip(&data, &graph);
     }
@@ -68,7 +69,8 @@ fn zero_edge_graph_round_trips_under_every_metric() {
             (0..6).map(|i| point(metric, i as f64 * 100.0)).collect(),
         );
         let tree = MTree::build(&data, MTreeConfig::default());
-        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.25);
+        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.25, SelfJoinConfig::default())
+            .expect("valid radius");
         assert_eq!(graph.neighbors_flat().len(), 0, "{metric:?}");
         assert_round_trip(&data, &graph);
     }
@@ -83,7 +85,8 @@ fn all_duplicate_points_round_trip_under_every_metric() {
             (0..12).map(|_| point(metric, 3.0)).collect(),
         );
         let tree = MTree::build(&data, MTreeConfig::default());
-        let graph = StratifiedDiskGraph::from_mtree(&tree, 1.0);
+        let graph = StratifiedDiskGraph::from_mtree(&tree, 1.0, SelfJoinConfig::default())
+            .expect("valid radius");
         // Duplicates sit at distance 0 from each other: a complete
         // graph whose edges all carry distance 0.
         assert_eq!(graph.neighbors_flat().len(), 12 * 11, "{metric:?}");
@@ -99,7 +102,8 @@ fn zero_radius_build_round_trips_under_every_metric() {
         pts.push(point(metric, 0.0)); // duplicate of the first: a 0-distance edge
         let data = Dataset::new("r0", metric, pts);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.0);
+        let graph = StratifiedDiskGraph::from_mtree(&tree, 0.0, SelfJoinConfig::default())
+            .expect("valid radius");
         assert_eq!(graph.radius(), 0.0);
         assert_eq!(graph.neighbors_flat().len(), 2, "{metric:?}");
         assert_round_trip(&data, &graph);
@@ -154,8 +158,9 @@ fn empty_snapshot_round_trips_via_raw_parts() {
 
 #[test]
 fn renumbered_pair_round_trips_with_its_permutation() {
-    // A leaf-order renumbered build must persist its internal↔external
-    // bijection and load it back onto both values, byte-identically.
+    // A renumbered build must persist its internal↔external bijection
+    // and load it back onto both values, byte-identically. Any
+    // non-identity order will do; the tree's leaf order is one.
     let data = Dataset::new(
         "renum",
         Metric::Euclidean,
@@ -166,8 +171,9 @@ fn renumbered_pair_round_trips_with_its_permutation() {
     let tree = MTree::build(&data, MTreeConfig::with_capacity(4));
     let order = tree.objects_in_leaf_order_uncounted();
     let data2 = data.renumbered(&order);
-    let tree2 = tree.relabeled(&data2, &order);
-    let graph2 = StratifiedDiskGraph::from_mtree(&tree2, 0.8);
+    let tree2 = MTree::build(&data2, MTreeConfig::with_capacity(4));
+    let graph2 = StratifiedDiskGraph::from_mtree(&tree2, 0.8, SelfJoinConfig::default())
+        .expect("valid radius");
     assert!(data2.permutation().is_some(), "corpus must not be identity");
     assert_eq!(data2.permutation(), graph2.permutation());
 
@@ -259,7 +265,8 @@ fn file_round_trip_through_aligned_read() {
             .collect(),
     );
     let tree = MTree::build(&data, MTreeConfig::default());
-    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.6);
+    let graph = StratifiedDiskGraph::from_mtree(&tree, 0.6, SelfJoinConfig::default())
+        .expect("valid radius");
 
     let dir = std::env::temp_dir().join("disc-store-test");
     std::fs::create_dir_all(&dir).expect("temp dir");

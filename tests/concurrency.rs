@@ -1,35 +1,34 @@
-//! Concurrency test tier: the parallel self-join and sharded CSR
-//! assembly are pinned **deterministic** — byte-identical to their
-//! serial counterparts and to the O(n²) reference — across metrics,
-//! thread/shard counts and degenerate inputs.
+//! Concurrency test tier: the one self-join entry point and the one
+//! stratified CSR assembly are pinned **deterministic** — byte-identical
+//! to their serial counterparts and to the O(n²) reference — across
+//! metrics, thread/worker counts, edge slicings and degenerate inputs.
 //!
-//! PR 2 made the graph-resident runners byte-identical to the exact
+//! The graph-resident runners are byte-identical to the exact
 //! tree-backed variants; that pin is only as strong as the graph build
-//! feeding them. This tier therefore checks, for thread/shard counts
-//! 1, 2, 3 and 8 (forced via [`SelfJoinConfig`] and the explicit shard
-//! parameter of [`UnitDiskGraph::from_edges_sharded`], independent of
-//! the host's core count):
+//! feeding them. This tier therefore checks, for counts 1, 2, 3 and 8
+//! (forced via [`SelfJoinConfig::threads`] and the `workers` parameter
+//! of [`StratifiedDiskGraph::from_dist_edges`], independent of the
+//! host's core count):
 //!
 //! * parallel self-join edge list ≡ serial self-join ≡ O(n²) scan, on
 //!   all four metrics — as *ordered* lists, not just sets;
-//! * CSR byte-equality (`offsets` and `neighbors`) between the serial
-//!   and sharded assemblies, and for `from_mtree` against the scan
-//!   reference;
-//! * exact `distance_computations()` parity between the parallel and
-//!   serial traversals (lost or double-counted per-worker counters
-//!   would break every future hot-path claim pinned on the counter);
-//! * the same three guarantees for the **distance-annotated** pipeline
-//!   (`range_self_join_dist*` → [`StratifiedDiskGraph`]): edge lists
-//!   byte-identical *including the f64 annotations*, stratified CSR
-//!   byte-identical (`offsets`, `neighbors` **and** `dists`), exact
-//!   counter parity, and thread-count-independent graph-resident
-//!   zooming on top;
+//! * exact `distance_computations()` and `node_accesses()` parity
+//!   between the parallel and serial traversals (lost or double-counted
+//!   per-worker counters would break every future hot-path claim pinned
+//!   on the counter);
+//! * the same guarantees for the **distance-annotated** production edge
+//!   type: edge lists byte-identical *including the f64 annotations*,
+//!   and the stratified CSR byte-identical (`offsets`, `neighbors`
+//!   **and** `dists`) for every worker count and every slicing of the
+//!   edge list, and equal to the O(n²) [`StratifiedDiskGraph::build`];
+//! * thread-count-independent graph-resident selection and zooming on
+//!   top;
 //! * degenerate inputs: single object, all-duplicate points, r = 0 and
 //!   r ≥ diameter.
 
 use disc_diversity::graph::{StratifiedDiskGraph, UnitDiskGraph};
 use disc_diversity::metric::{Dataset, Metric, ObjId, Point};
-use disc_diversity::mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_diversity::mtree::{DistEdge, MTree, MTreeConfig, SelfJoinConfig};
 use disc_diversity::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -92,20 +91,54 @@ fn radii_for(metric: Metric) -> Vec<f64> {
     }
 }
 
+/// The plain reference join at a forced thread count.
+fn plain(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<(ObjId, ObjId)> {
+    tree.range_self_join(r, SelfJoinConfig::with_threads(threads))
+        .expect("valid radius")
+}
+
+/// The annotated production join at a forced thread count.
+fn annotated(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<DistEdge> {
+    tree.range_self_join(r, SelfJoinConfig::with_threads(threads))
+        .expect("valid radius")
+}
+
+/// The one stratified assembly over `slices` with `workers` sort
+/// workers.
+fn assemble(n: usize, r: f64, slices: &[&[DistEdge]], workers: usize) -> StratifiedDiskGraph {
+    StratifiedDiskGraph::from_dist_edges(n, r, slices, workers, None)
+        .expect("valid radius")
+        .0
+}
+
+/// Byte equality of the three CSR arrays.
+fn assert_same_csr(got: &StratifiedDiskGraph, want: &StratifiedDiskGraph, what: &str) {
+    assert_eq!(got.offsets(), want.offsets(), "{what}: offsets");
+    assert_eq!(
+        got.neighbors_flat(),
+        want.neighbors_flat(),
+        "{what}: neighbors"
+    );
+    let bits = |g: &StratifiedDiskGraph| -> Vec<u64> {
+        g.dists_flat().iter().map(|d| d.to_bits()).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}: dists");
+}
+
 #[test]
 fn parallel_self_join_equals_serial_equals_scan_on_all_metrics() {
     for metric in ALL_METRICS {
         let data = random_data_metric(160, 41, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         for r in radii_for(metric) {
-            let serial = tree.range_self_join_serial(r);
+            let serial = plain(&tree, r, 1);
             assert_eq!(
                 sorted(serial.clone()),
                 scan_edges(&data, r),
                 "{metric:?} r={r}: serial self-join vs O(n²) scan"
             );
             for threads in COUNTS {
-                let par = tree.range_self_join_with(r, SelfJoinConfig { threads });
+                let par = plain(&tree, r, threads);
                 // Byte-identical: same edges in the same order.
                 assert_eq!(par, serial, "{metric:?} r={r} threads={threads}");
             }
@@ -115,26 +148,32 @@ fn parallel_self_join_equals_serial_equals_scan_on_all_metrics() {
 
 #[test]
 fn csr_is_byte_identical_across_shard_counts_on_all_metrics() {
+    // Every worker count and every slicing of one edge list assembles
+    // the O(n²) oracle's bytes.
     for metric in ALL_METRICS {
         let data = random_data_metric(140, 42, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         for r in radii_for(metric) {
-            let reference = UnitDiskGraph::build(&data, r);
-            let from_tree = UnitDiskGraph::from_mtree(&tree, r);
-            assert_eq!(from_tree, reference, "{metric:?} r={r}: from_mtree");
-            let edges = tree.range_self_join_serial(r);
-            let serial = UnitDiskGraph::from_edges(data.len(), r, &edges);
-            for shards in COUNTS {
-                let sharded = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, shards);
-                assert_eq!(
-                    sharded.offsets(),
-                    serial.offsets(),
-                    "{metric:?} r={r} shards={shards}: offsets"
+            assert_eq!(
+                UnitDiskGraph::from_mtree(&tree, r),
+                UnitDiskGraph::build(&data, r),
+                "{metric:?} r={r}: from_mtree"
+            );
+            let reference = StratifiedDiskGraph::build(&data, r);
+            let edges = annotated(&tree, r, 1);
+            let (a, rest) = edges.split_at(edges.len() / 3);
+            let (b, c) = rest.split_at(rest.len() / 2);
+            for workers in COUNTS {
+                let what = format!("{metric:?} r={r} workers={workers}");
+                assert_same_csr(
+                    &assemble(data.len(), r, &[&edges], workers),
+                    &reference,
+                    &what,
                 );
-                assert_eq!(
-                    sharded.neighbors_flat(),
-                    serial.neighbors_flat(),
-                    "{metric:?} r={r} shards={shards}: neighbors"
+                assert_same_csr(
+                    &assemble(data.len(), r, &[c, a, b], workers),
+                    &reference,
+                    &format!("{what} sliced"),
                 );
             }
         }
@@ -152,13 +191,13 @@ fn parallel_self_join_charges_exact_distance_computations() {
 
         tree.reset_distance_computations();
         tree.reset_node_accesses();
-        let serial = tree.range_self_join_serial(r);
+        let serial = plain(&tree, r, 1);
         let serial_dc = tree.reset_distance_computations();
         let serial_acc = tree.reset_node_accesses();
         assert!(serial_dc > 0, "{metric:?}: self-join computed no distances");
 
         for threads in COUNTS {
-            let par = tree.range_self_join_with(r, SelfJoinConfig { threads });
+            let par = plain(&tree, r, threads);
             let par_dc = tree.reset_distance_computations();
             let par_acc = tree.reset_node_accesses();
             assert_eq!(par, serial, "{metric:?} threads={threads}");
@@ -180,25 +219,22 @@ fn degenerate_inputs_are_deterministic_across_thread_counts() {
     let one = Dataset::new("one", Metric::Euclidean, vec![Point::new2(0.5, 0.5)]);
     let tree = MTree::build(&one, MTreeConfig::default());
     for threads in COUNTS {
-        assert!(tree
-            .range_self_join_with(10.0, SelfJoinConfig { threads })
-            .is_empty());
+        assert!(plain(&tree, 10.0, threads).is_empty());
     }
 
     // All-duplicate points: complete graph even at r = 0.
     let n = 30;
     let dups = Dataset::new("dups", Metric::Euclidean, vec![Point::new2(0.2, 0.8); n]);
     let tree = MTree::build(&dups, MTreeConfig::with_capacity(3));
-    let serial = tree.range_self_join_serial(0.0);
+    let serial = plain(&tree, 0.0, 1);
     assert_eq!(serial.len(), n * (n - 1) / 2);
+    let serial_d = annotated(&tree, 0.0, 1);
     for threads in COUNTS {
-        assert_eq!(
-            tree.range_self_join_with(0.0, SelfJoinConfig { threads }),
-            serial
-        );
-        assert_eq!(
-            UnitDiskGraph::from_edges_sharded(n, 0.0, &serial, threads),
-            UnitDiskGraph::build(&dups, 0.0)
+        assert_eq!(plain(&tree, 0.0, threads), serial);
+        assert_same_csr(
+            &assemble(n, 0.0, &[&serial_d], threads),
+            &StratifiedDiskGraph::build(&dups, 0.0),
+            &format!("dups workers={threads}"),
         );
     }
 
@@ -206,21 +242,17 @@ fn degenerate_inputs_are_deterministic_across_thread_counts() {
     let data = random_data_metric(90, 44, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
     for (r, want_edges) in [(0.0, 0), (2.0, 90 * 89 / 2)] {
-        let serial = tree.range_self_join_serial(r);
+        let serial = plain(&tree, r, 1);
         assert_eq!(serial.len(), want_edges, "r={r}");
         for threads in COUNTS {
-            assert_eq!(
-                tree.range_self_join_with(r, SelfJoinConfig { threads }),
-                serial,
-                "r={r} threads={threads}"
-            );
+            assert_eq!(plain(&tree, r, threads), serial, "r={r} threads={threads}");
         }
     }
 
     // Empty CSR assemblies (a Dataset cannot be empty, but the edge-list
     // constructors accept n = 0).
-    for shards in COUNTS {
-        assert!(UnitDiskGraph::from_edges_sharded(0, 1.0, &[], shards).is_empty());
+    for workers in COUNTS {
+        assert!(assemble(0, 1.0, &[], workers).is_empty());
     }
 }
 
@@ -228,43 +260,27 @@ fn degenerate_inputs_are_deterministic_across_thread_counts() {
 fn stratified_csr_is_byte_identical_across_thread_and_shard_counts() {
     // The distance-annotated pipeline (annotated self-join → stratified
     // CSR with distance-sorted rows) is deterministic too: for every
-    // forced thread/shard count, edges (annotations included), offsets,
+    // forced thread/worker count, edges (annotations included), offsets,
     // neighbors *and* dists arrays equal the serial build's, on all four
     // metrics.
     for metric in ALL_METRICS {
         let data = random_data_metric(140, 46, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         for r in radii_for(metric) {
-            let serial_edges = tree.range_self_join_dist_serial(r);
-            let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &serial_edges);
+            let serial_edges = annotated(&tree, r, 1);
+            let serial = assemble(data.len(), r, &[&serial_edges], 1);
             for threads in COUNTS {
-                let par_edges = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
+                let par_edges = annotated(&tree, r, threads);
                 // Byte-identical: same edges, same order, same f64
                 // distance annotations.
                 assert_eq!(
                     par_edges, serial_edges,
                     "{metric:?} r={r} threads={threads}"
                 );
-                let sharded = StratifiedDiskGraph::from_dist_edges_sharded(
-                    data.len(),
-                    r,
-                    &par_edges,
-                    threads,
-                );
-                assert_eq!(
-                    sharded.offsets(),
-                    serial.offsets(),
-                    "{metric:?} r={r} shards={threads}: offsets"
-                );
-                assert_eq!(
-                    sharded.neighbors_flat(),
-                    serial.neighbors_flat(),
-                    "{metric:?} r={r} shards={threads}: neighbors"
-                );
-                assert_eq!(
-                    sharded.dists_flat(),
-                    serial.dists_flat(),
-                    "{metric:?} r={r} shards={threads}: dists"
+                assert_same_csr(
+                    &assemble(data.len(), r, &[&par_edges], threads),
+                    &serial,
+                    &format!("{metric:?} r={r} workers={threads}"),
                 );
             }
         }
@@ -275,8 +291,8 @@ fn stratified_csr_is_byte_identical_across_thread_and_shard_counts() {
 fn stratified_csr_byte_identical_on_duplicate_heavy_rows() {
     // A regular grid maximises duplicated edge distances (every row is
     // full of exact ties), stressing the radix row sort's id
-    // tie-breaking: the sharded assembly must stay byte-identical to
-    // the serial one — dists included — for every shard count.
+    // tie-breaking: every worker count must stay byte-identical to the
+    // one-worker assembly — dists included.
     let mut pts = Vec::new();
     for i in 0..12 {
         for j in 0..12 {
@@ -286,8 +302,8 @@ fn stratified_csr_byte_identical_on_duplicate_heavy_rows() {
     let data = Dataset::new("grid", Metric::Euclidean, pts);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
     for r in [0.1, 0.3, 2.0] {
-        let edges = tree.range_self_join_dist_serial(r);
-        let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
+        let edges = annotated(&tree, r, 1);
+        let serial = assemble(data.len(), r, &[&edges], 1);
         // Rows must be strictly (dist, id)-sorted despite the ties.
         for v in 0..data.len() {
             let (ids, ds) = (serial.neighbors(v), serial.dists(v));
@@ -298,19 +314,11 @@ fn stratified_csr_byte_identical_on_duplicate_heavy_rows() {
                 );
             }
         }
-        for shards in COUNTS {
-            let sharded =
-                StratifiedDiskGraph::from_dist_edges_sharded(data.len(), r, &edges, shards);
-            assert_eq!(sharded.offsets(), serial.offsets(), "r={r} shards={shards}");
-            assert_eq!(
-                sharded.neighbors_flat(),
-                serial.neighbors_flat(),
-                "r={r} shards={shards}"
-            );
-            assert_eq!(
-                sharded.dists_flat(),
-                serial.dists_flat(),
-                "r={r} shards={shards}"
+        for workers in COUNTS {
+            assert_same_csr(
+                &assemble(data.len(), r, &[&edges], workers),
+                &serial,
+                &format!("r={r} workers={workers}"),
             );
         }
     }
@@ -328,7 +336,7 @@ fn annotated_self_join_charges_exact_counters_across_thread_counts() {
 
         tree.reset_distance_computations();
         tree.reset_node_accesses();
-        let serial = tree.range_self_join_dist_serial(r);
+        let serial = annotated(&tree, r, 1);
         let serial_dc = tree.reset_distance_computations();
         let serial_acc = tree.reset_node_accesses();
         assert!(
@@ -337,7 +345,7 @@ fn annotated_self_join_charges_exact_counters_across_thread_counts() {
         );
 
         for threads in COUNTS {
-            let par = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
+            let par = annotated(&tree, r, threads);
             let par_dc = tree.reset_distance_computations();
             let par_acc = tree.reset_node_accesses();
             assert_eq!(par, serial, "{metric:?} threads={threads}");
@@ -355,25 +363,18 @@ fn annotated_self_join_charges_exact_counters_across_thread_counts() {
 
 #[test]
 fn stratified_zooming_is_thread_count_independent() {
-    // End-to-end: stratified graphs assembled at every thread/shard
-    // count feed the graph-resident zoom runners identically, and the
-    // solutions match the tree-backed operators.
+    // End-to-end: stratified graphs built at every thread count feed
+    // the graph-resident zoom runners identically, and the solutions
+    // match the tree-backed operators.
     let data = random_data_metric(220, 48, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
     let (r, r_new) = (0.12, 0.06);
-    let serial_edges = tree.range_self_join_dist_serial(r);
-    let serial_graph = StratifiedDiskGraph::from_dist_edges(data.len(), r, &serial_edges);
     let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
     let want = greedy_zoom_in(&tree, &prev, r_new).result.solution;
-    assert_eq!(
-        greedy_zoom_in_graph(&serial_graph, &prev, r_new)
-            .result
-            .solution,
-        want
-    );
     for threads in COUNTS {
-        let edges = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
-        let graph = StratifiedDiskGraph::from_dist_edges_sharded(data.len(), r, &edges, threads);
+        let graph =
+            StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::with_threads(threads))
+                .expect("valid radius");
         assert_eq!(
             greedy_zoom_in_graph(&graph, &prev, r_new).result.solution,
             want,
@@ -384,13 +385,14 @@ fn stratified_zooming_is_thread_count_independent() {
 
 #[test]
 fn graph_resident_solutions_are_thread_count_independent() {
-    // End-to-end: the full graph pipeline (parallel self-join → sharded
-    // CSR → graph-resident selection) picks the same solutions as the
-    // serial pipeline and the tree-backed exact runners.
+    // End-to-end: the full graph pipeline (parallel self-join →
+    // multi-worker CSR → graph-resident selection) picks the same
+    // solutions as the serial reference graph and the tree-backed exact
+    // runners.
     let data = random_data_metric(250, 45, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
     let r = 0.1;
-    let serial_graph = UnitDiskGraph::from_edges(data.len(), r, &tree.range_self_join_serial(r));
+    let serial_graph = UnitDiskGraph::from_edges(data.len(), r, &plain(&tree, r, 1));
     let want_disc = greedy_disc_graph(&serial_graph).solution;
     let want_c = greedy_c_graph(&serial_graph).solution;
     assert_eq!(
@@ -398,14 +400,16 @@ fn graph_resident_solutions_are_thread_count_independent() {
         greedy_disc(&tree, r, GreedyVariant::Grey, true).solution
     );
     for threads in COUNTS {
-        let edges = tree.range_self_join_with(r, SelfJoinConfig { threads });
-        let graph = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, threads);
+        let graph =
+            StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::with_threads(threads))
+                .expect("valid radius");
+        let view = graph.view(r);
         assert_eq!(
-            greedy_disc_graph(&graph).solution,
+            greedy_disc_graph(&view).solution,
             want_disc,
             "threads={threads}"
         );
-        assert_eq!(greedy_c_graph(&graph).solution, want_c, "threads={threads}");
+        assert_eq!(greedy_c_graph(&view).solution, want_c, "threads={threads}");
         assert!(verify_disc(&data, &want_disc, r).is_valid());
     }
 }

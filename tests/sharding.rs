@@ -8,8 +8,16 @@
 //! degenerate shapes: more shards than objects (empty shards), every
 //! point identical (one shard absorbs everything), and duplicate
 //! points straddling a shard boundary.
+//!
+//! Byte equality between shard counts cannot catch a bug both sides
+//! share, so the suite also checks every sharded build against an
+//! independent oracle: the Definition 1 verifiers over the *original*
+//! dataset, run on solutions selected from the sharded graph.
 
-use disc_diversity::core::{build_sharded, build_sharded_with, ShardedBuildConfig};
+use disc_diversity::core::{
+    build_sharded, build_sharded_with, fast_c_graph, greedy_c_graph, greedy_disc_graph,
+    verify_coverage, verify_disc, ShardedBuildConfig,
+};
 use disc_diversity::datasets::synthetic::clustered;
 use disc_diversity::metric::{Dataset, Metric};
 
@@ -67,6 +75,45 @@ fn snapshots_are_byte_identical_at_every_shard_count_for_every_metric() {
             );
             assert_eq!(edges, ref_edges, "{metric:?} shards={shards} edge count");
             assert!(dc > 0, "{metric:?} shards={shards} must count distances");
+        }
+    }
+}
+
+#[test]
+fn sharded_graphs_select_valid_solutions_on_the_original_dataset() {
+    // Solutions leave the runners in external ids, i.e. the original
+    // dataset's numbering, so the O(n²) verifiers read `data` directly —
+    // no part of the sharded pipeline is on the checking side.
+    for metric in [
+        Metric::Euclidean,
+        Metric::Manhattan,
+        Metric::Chebyshev,
+        Metric::Hamming,
+    ] {
+        let (data, r_max) = fixture(metric);
+        for shards in [1, 2, 3, 8] {
+            let built = build_sharded(&data, r_max, shards).expect("clean dataset builds");
+            for r in [r_max, r_max / 2.0] {
+                let view = built.graph.view(r);
+                let what = format!("{metric:?} shards={shards} r={r}");
+                let disc = greedy_disc_graph(&view).solution;
+                assert!(
+                    verify_disc(&data, &disc, r).is_valid(),
+                    "{what}: Greedy-DisC is not an r-DisC diverse subset"
+                );
+                // Greedy-C and Fast-C only promise coverage: they may
+                // select adjacent objects.
+                for (name, cover) in [
+                    ("Greedy-C", greedy_c_graph(&view).solution),
+                    ("Fast-C", fast_c_graph(&view).solution),
+                ] {
+                    assert_eq!(
+                        verify_coverage(&data, &cover, r),
+                        Vec::<usize>::new(),
+                        "{what}: {name} leaves objects uncovered"
+                    );
+                }
+            }
         }
     }
 }

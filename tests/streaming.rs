@@ -87,11 +87,10 @@ fn rebuild_from_scratch(cat: &StreamingCatalog) -> StratifiedDiskGraph {
     )
     .with_permutation(Some(Arc::new(perm)));
     let tree = MTree::build(&data, MTreeConfig::default());
-    StratifiedDiskGraph::from_mtree_checked(
+    StratifiedDiskGraph::from_mtree(
         &tree,
         cat.graph().radius(),
         SelfJoinConfig::with_threads(self_join_threads()),
-        None,
     )
     .expect("self-join over a clean dataset")
 }

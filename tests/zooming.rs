@@ -20,6 +20,7 @@ use disc_diversity::core::{
     multi_radius_basic_disc, multi_radius_greedy_disc, verify_multi_radius,
 };
 use disc_diversity::metric::{Dataset, Metric, ObjId, Point};
+use disc_diversity::mtree::SelfJoinConfig;
 use disc_diversity::prelude::*;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
@@ -91,7 +92,8 @@ fn zoom_in_graph_equals_tree_backed_on_all_metrics() {
         let data = random_data_metric(180, 70, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         let (r, r_new) = zoom_in_radii(metric);
-        let g = StratifiedDiskGraph::from_mtree(&tree, r);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
 
         let tree_plain = zoom_in(&tree, &prev, r_new);
@@ -125,7 +127,8 @@ fn zoom_out_graph_equals_tree_backed_on_all_metrics() {
         let data = random_data_metric(160, 71, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         let (r, r_new) = zoom_out_radii(metric);
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_new);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r_new, SelfJoinConfig::default())
+            .expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         for v in ALL_ZOOM_OUT {
             let tree_z = greedy_zoom_out(&tree, &prev, r_new, v);
@@ -157,7 +160,8 @@ fn multi_radius_graph_equals_tree_backed_on_all_metrics() {
         let radii: Vec<f64> = (0..data.len())
             .map(|id| if id % 3 == 0 { fine } else { coarse })
             .collect();
-        let g = StratifiedDiskGraph::from_mtree(&tree, coarse);
+        let g = StratifiedDiskGraph::from_mtree(&tree, coarse, SelfJoinConfig::default())
+            .expect("valid radius");
         for greedy in [false, true] {
             let graph_sol = multi_radius_graph(&tree, &g, &radii, greedy);
             let tree_sol = if greedy {
@@ -186,7 +190,8 @@ fn chained_zoom_in_sweep_adds_no_distance_computations() {
     let tree = MTree::build(&data, MTreeConfig::with_capacity(9));
     let radii = [0.16, 0.11, 0.07, 0.03];
 
-    let g = StratifiedDiskGraph::from_mtree(&tree, radii[0]);
+    let g = StratifiedDiskGraph::from_mtree(&tree, radii[0], SelfJoinConfig::default())
+        .expect("valid radius");
     let prev = greedy_disc(&tree, radii[0], GreedyVariant::Grey, true);
 
     tree.reset_distance_computations();
@@ -231,7 +236,8 @@ fn zooming_on_degenerate_duplicate_data() {
     let n = 25;
     let data = Dataset::new("dups", Metric::Euclidean, vec![Point::new2(0.5, 0.5); n]);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(4));
-    let g = StratifiedDiskGraph::from_mtree(&tree, 0.4);
+    let g = StratifiedDiskGraph::from_mtree(&tree, 0.4, SelfJoinConfig::default())
+        .expect("valid radius");
     let prev = greedy_disc(&tree, 0.4, GreedyVariant::Grey, true);
     assert_eq!(prev.size(), 1);
     let graph_z = greedy_zoom_in_graph(&g, &prev, 0.1);
@@ -253,7 +259,7 @@ proptest! {
     ) {
         let data = random_data_metric(110, seed, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-        let g = StratifiedDiskGraph::from_mtree(&tree, r);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default()).expect("valid radius");
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         let r_new = r * shrink;
 
@@ -285,7 +291,7 @@ proptest! {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         let r_new = r * grow;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_new);
+        let g = StratifiedDiskGraph::from_mtree(&tree, r_new, SelfJoinConfig::default()).expect("valid radius");
         for v in ALL_ZOOM_OUT {
             let tree_z = greedy_zoom_out(&tree, &prev, r_new, v);
             let graph_z = zoom_out_graph(&tree, &g, &prev, r_new, v);
