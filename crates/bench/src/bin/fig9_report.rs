@@ -12,10 +12,12 @@
 //! * **wall-clock** of the count-seeding pass, serial vs threaded
 //!   (`disc-core`'s `parallel` feature; on a single-core host both sides
 //!   coincide, so the thread count is recorded alongside);
-//! * **graph-resident vs tree-backed Greedy-DisC** — one
-//!   `MTree::range_self_join` materialises the CSR neighbourhood graph
-//!   (distance computations recorded against the O(n²) pair count),
-//!   then selection runs with zero index queries; build + select
+//! * **graph-resident vs tree-backed Greedy-DisC** — the production
+//!   build (`StratifiedDiskGraph::from_mtree`: one annotated
+//!   `MTree::range_self_join` plus the stratified CSR assembly)
+//!   materialises the neighbourhood graph (distance computations
+//!   recorded against the O(n²) pair count), then selection runs on its
+//!   prefix view with zero index queries; build + select
 //!   wall-clock and distance computations for both pipelines (see the
 //!   `fig_graph_vs_tree` binary for the gated CI companion);
 //! * **snapshot persistence** — save/load wall-clock and on-disk size of

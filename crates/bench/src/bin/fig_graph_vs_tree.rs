@@ -7,15 +7,17 @@
 //!
 //! * **tree-backed** — the pruned M-tree runners (range queries in the
 //!   selection loop);
-//! * **graph-resident** — one `MTree::range_self_join` materialises the
-//!   CSR neighbourhood graph, then the selection loop runs with zero
-//!   index queries.
+//! * **graph-resident** — the production build,
+//!   `StratifiedDiskGraph::from_mtree` (one distance-annotated
+//!   `MTree::range_self_join` plus the stratified CSR assembly),
+//!   materialises the neighbourhood graph, then the selection loop runs
+//!   on its prefix view at `r` with zero index queries.
 //!
 //! The binary *fails* (non-zero exit) when the bulk materialisation
 //! stops paying for itself:
 //!
-//! 1. the self-join's `distance_computations()` must stay below the
-//!    O(n²) all-pairs count `n(n−1)/2`;
+//! 1. the annotated self-join's `distance_computations()` must stay
+//!    below the O(n²) all-pairs count `n(n−1)/2`;
 //! 2. the graph-resident end-to-end run (self-join build + select) must
 //!    not exceed the tree-backed pruned run's distance computations;
 //! 3. graph-resident solutions must equal the tree-backed exact ones;

@@ -9,9 +9,11 @@
 //! * `fig9_scaling` — Figure 9 cardinality/dimensionality scaling,
 //! * `fig10_fat_factor` — Figure 10 splitting policies (build + query),
 //! * `zooming` — Figures 11–16 zoom-in/zoom-out operators,
-//! * `baselines` — Figure 6 comparison models,
-//! * `graph_vs_tree` — CSR graph materialisation (self-join vs O(n²)
-//!   scans) and graph-resident vs tree-backed selection loops.
+//! * `baselines` — Figure 6 comparison models.
+//!
+//! Graph materialisation and graph-resident vs tree-backed selection
+//! are timed by the gated `fig_graph_vs_tree` binary
+//! ([`measure_graph_vs_tree`]).
 //!
 //! Benchmarks run on bench-scale datasets (a few thousand objects) so a
 //! full `cargo bench` completes in minutes; the eval harness is the tool
@@ -28,7 +30,7 @@ use disc_core::{
     greedy_zoom_in_graph, GreedyVariant, ShardedBuildConfig,
 };
 use disc_datasets::synthetic::{clustered, uniform};
-use disc_graph::{StratifiedDiskGraph, StreamingCatalog, UnitDiskGraph};
+use disc_graph::{StratifiedDiskGraph, StreamingCatalog};
 use disc_metric::{Dataset, IdPermutation};
 use disc_mtree::{DistEdge, MTree, MTreeConfig, SelfJoinConfig};
 
@@ -58,12 +60,12 @@ pub fn bench_tree(data: &Dataset) -> MTree<'_> {
 pub struct GraphVsTree {
     /// `n(n−1)/2`, the O(n²) scan's distance-computation count.
     pub pairs_all: u64,
-    /// Distance computations of the self-join materialisation (the
-    /// graph pipeline's *total*: selection adds zero).
+    /// Distance computations of the production build, the annotated
+    /// self-join (the graph pipeline's *total*: selection adds zero).
     pub self_join_dc: u64,
     /// Undirected edges of `G_{P,r}`.
     pub edges: usize,
-    /// Self-join + CSR assembly wall-clock.
+    /// Annotated self-join + stratified CSR assembly wall-clock.
     pub build_ms: f64,
     /// Graph-resident Greedy-DisC selection wall-clock.
     pub disc_select_ms: f64,
@@ -84,22 +86,26 @@ pub struct GraphVsTree {
 }
 
 /// Runs both pipelines at `radius` and asserts the graph-resident
-/// solutions equal the tree-backed exact ones. Resets (and so consumes)
-/// the tree's distance-computation counter.
+/// solutions equal the tree-backed exact ones. The graph side is the
+/// production one: [`StratifiedDiskGraph::from_mtree`] at the auto
+/// thread count, selected on through its prefix view at `radius`.
+/// Resets (and so consumes) the tree's distance-computation counter.
 pub fn measure_graph_vs_tree(tree: &MTree<'_>, radius: f64) -> GraphVsTree {
     let n = tree.len() as u64;
 
     tree.reset_distance_computations();
     let t = Instant::now();
-    let graph = UnitDiskGraph::from_mtree(tree, radius);
+    let graph = StratifiedDiskGraph::from_mtree(tree, radius, SelfJoinConfig::default())
+        .expect("valid radius");
     let build_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let self_join_dc = tree.reset_distance_computations();
 
+    let view = graph.view(radius);
     let t = Instant::now();
-    let graph_disc = greedy_disc_graph(&graph);
+    let graph_disc = greedy_disc_graph(&view);
     let disc_select_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let t = Instant::now();
-    let graph_c = greedy_c_graph(&graph);
+    let graph_c = greedy_c_graph(&view);
     let c_select_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
     tree.reset_distance_computations();

@@ -18,8 +18,9 @@
 //! same runner called in-process — holds by construction, because these
 //! are the same functions, and the `*_checked` runners are pinned
 //! byte-identical to their plain twins when the token never fires. The
-//! runners are also pinned to the id-sorted reference
-//! (`view.to_unit_disk_graph()`) and to the tree-backed heuristics.
+//! runners are also pinned to the O(n²) oracle of
+//! `disc_graph::reference` (a view copied by `to_unit_disk_graph()`
+//! equals `UnitDiskGraph::build`) and to the tree-backed heuristics.
 //!
 //! Two diagnostic ops ride along: `sleep` (occupies a worker, polling
 //! its token — the saturation and deadline tests are built from it) and

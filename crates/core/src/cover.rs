@@ -208,7 +208,8 @@ mod tests {
     use super::*;
     use crate::verify::{verify_coverage, verify_disc};
     use disc_datasets::synthetic::{clustered, uniform};
-    use disc_graph::{reference::greedy_c_ref, sets::is_independent, UnitDiskGraph};
+    use disc_graph::reference::{greedy_c_ref, UnitDiskGraph};
+    use disc_graph::sets::is_independent;
     use disc_mtree::MTreeConfig;
     use proptest::prelude::*;
 

@@ -238,7 +238,7 @@ mod tests {
     use super::*;
     use crate::verify::verify_disc;
     use disc_datasets::synthetic::{clustered, uniform};
-    use disc_graph::{reference::greedy_disc_ref, UnitDiskGraph};
+    use disc_graph::reference::{greedy_disc_ref, UnitDiskGraph};
     use disc_mtree::MTreeConfig;
     use proptest::prelude::*;
 

@@ -22,11 +22,11 @@
 //! ## Graph-resident execution ([`resident`])
 //!
 //! * [`greedy_disc_graph`] / [`greedy_c_graph`] / [`fast_c_graph`] — the
-//!   same heuristics over a [`disc_graph::UnitDiskGraph`] materialised
-//!   once (typically via the M-tree range self-join), with zero tree
-//!   queries in the selection loop. Exact runners are pinned
-//!   byte-identical to their tree-backed counterparts; see [`resident`]
-//!   for the memory-vs-query trade.
+//!   same heuristics over any [`disc_graph::NeighborSource`]; in
+//!   production a [`disc_graph::StratifiedView`] prefix of the
+//!   stratified graph, with zero tree queries in the selection loop.
+//!   Exact runners are pinned byte-identical to their tree-backed
+//!   counterparts; see [`resident`] for the memory-vs-query trade.
 //! * [`zoom_in_graph`] / [`greedy_zoom_in_graph`] / [`zoom_out_graph`] /
 //!   [`multi_radius_graph`] — the adaptive-radius operators over a
 //!   [`disc_graph::StratifiedDiskGraph`] built once at the largest

@@ -368,7 +368,7 @@ mod tests {
             cap in 4usize..12,
         ) {
             use crate::resident::{greedy_disc_graph, multi_radius_graph};
-            use disc_graph::{StratifiedDiskGraph, UnitDiskGraph};
+            use disc_graph::StratifiedDiskGraph;
 
             let data = clustered(150, 2, 4, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
@@ -382,10 +382,9 @@ mod tests {
             prop_assert_eq!(&mr_g.solution, &plain_g.solution);
 
             // Definition 1's graph pipeline over G_{P,r} ...
-            let udg = UnitDiskGraph::from_mtree(&tree, r);
-            prop_assert_eq!(&greedy_disc_graph(&udg).solution, &plain_g.solution);
-            // ... and the graph-resident multi-radius path coincide.
             let strat = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default()).expect("valid radius");
+            prop_assert_eq!(&greedy_disc_graph(&strat.view(r)).solution, &plain_g.solution);
+            // ... and the graph-resident multi-radius path coincide.
             prop_assert_eq!(
                 &multi_radius_graph(&tree, &strat, &radii, true).solution,
                 &plain_g.solution

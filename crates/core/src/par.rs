@@ -5,7 +5,7 @@
 //! read-only (`&MTree`) and the M-tree's cost counters are atomic, so
 //! the loop parallelises embarrassingly: split the id space into one
 //! contiguous chunk per thread, give each thread its own scratch
-//! [`RangeHit`] buffer, and write each result into a disjoint slice of
+//! [`RangeHit`](disc_mtree::RangeHit) buffer, and write each result into a disjoint slice of
 //! the output.
 //!
 //! The environment ships no rayon, so the fan-out uses

@@ -21,9 +21,10 @@
 //!     [`NeighborSource`] and select on a
 //!     [`StratifiedView`](disc_graph::StratifiedView) at `r'`, whose
 //!     per-row cutoffs cost one binary search per row. No id-sorted
-//!     copy of the graph is built; the plain
-//!     [`UnitDiskGraph`](disc_graph::UnitDiskGraph) also implements the
-//!     trait and serves as the reference the tests compare against.
+//!     copy of the graph is built; the O(n²) reference
+//!     [`UnitDiskGraph`](disc_graph::reference::UnitDiskGraph) also
+//!     implements the trait and serves as the oracle the tests compare
+//!     against.
 //!   - The adaptive-radius runners (zooming, per-object radii) read
 //!     `row_within` prefixes and annotated distances directly.
 //!
@@ -72,8 +73,8 @@
 //!   distance filter over the prefix at `r(p)`.
 //!
 //! All of them are pinned byte-identical (same solutions, in order) to
-//! their tree-backed counterparts in [`crate::zoom_in`],
-//! [`crate::zoom_out`] and [`crate::multi_radius`]; the leaf-order
+//! their tree-backed counterparts in [`mod@crate::zoom_in`],
+//! [`mod@crate::zoom_out`] and [`crate::multi_radius`]; the leaf-order
 //! variants take the `&MTree` as well, but consult it **only** for the
 //! leaf-chain iteration order — never for queries — and charge zero
 //! node accesses.
@@ -818,23 +819,29 @@ mod tests {
     use crate::greedy::{greedy_disc, GreedyVariant};
     use crate::verify::{verify_coverage, verify_disc};
     use disc_datasets::synthetic::{clustered, uniform};
-    use disc_graph::reference::{greedy_c_ref, greedy_disc_ref};
-    use disc_graph::UnitDiskGraph;
+    use disc_graph::reference::{greedy_c_ref, greedy_disc_ref, UnitDiskGraph};
     use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
     use proptest::prelude::*;
+
+    /// The production graph at `r` over `tree`, auto thread count.
+    fn production(tree: &MTree<'_>, r: f64) -> StratifiedDiskGraph {
+        StratifiedDiskGraph::from_mtree(tree, r, SelfJoinConfig::default()).expect("valid radius")
+    }
 
     #[test]
     fn greedy_disc_graph_matches_tree_backed_exact_variants() {
         let data = clustered(400, 2, 5, 80);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         let r = 0.06;
-        let g = UnitDiskGraph::from_mtree(&tree, r);
-        let resident = greedy_disc_graph(&g);
+        let resident = greedy_disc_graph(&production(&tree, r).view(r));
         for v in [GreedyVariant::Grey, GreedyVariant::White] {
             let res = greedy_disc(&tree, r, v, true);
             assert_eq!(resident.solution, res.solution, "{v:?}");
         }
-        assert_eq!(resident.solution, greedy_disc_ref(&g));
+        assert_eq!(
+            resident.solution,
+            greedy_disc_ref(&UnitDiskGraph::build(&data, r))
+        );
         assert!(verify_disc(&data, &resident.solution, r).is_valid());
         assert_eq!(resident.node_accesses, 0);
         assert_eq!(resident.radius, r);
@@ -845,13 +852,17 @@ mod tests {
         let data = clustered(350, 2, 4, 81);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(9));
         let r = 0.07;
-        let g = UnitDiskGraph::from_mtree(&tree, r);
+        let graph = production(&tree, r);
+        let g = graph.view(r);
         let tree_res = greedy_c(&tree, r);
         let exact = greedy_c_graph(&g);
         let lazy = fast_c_graph(&g);
         assert_eq!(exact.solution, tree_res.solution);
         assert_eq!(lazy.solution, tree_res.solution);
-        assert_eq!(exact.solution, greedy_c_ref(&g));
+        assert_eq!(
+            exact.solution,
+            greedy_c_ref(&UnitDiskGraph::build(&data, r))
+        );
         assert!(verify_coverage(&data, &exact.solution, r).is_empty());
     }
 
@@ -863,8 +874,7 @@ mod tests {
         let data = clustered(500, 2, 6, 82);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(12));
         let r = 0.05;
-        let g = UnitDiskGraph::from_mtree(&tree, r);
-        let resident = fast_c_graph(&g);
+        let resident = fast_c_graph(&production(&tree, r).view(r));
         let tree_fast = fast_c(&tree, r);
         assert!(verify_coverage(&data, &resident.solution, r).is_empty());
         assert!(verify_coverage(&data, &tree_fast.solution, r).is_empty());
@@ -904,8 +914,7 @@ mod tests {
         let data = clustered(400, 2, 5, 84);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         let r = 0.1;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
-            .expect("valid radius");
+        let g = production(&tree, r);
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         for r_new in [0.08, 0.05, 0.02] {
             let tree_z = zoom_in(&tree, &prev, r_new);
@@ -935,8 +944,7 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         let r = 0.04;
         let r_new = 0.1;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_new, SelfJoinConfig::default())
-            .expect("valid radius");
+        let g = production(&tree, r_new);
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         for v in [
             ZoomOutVariant::Plain,
@@ -974,8 +982,7 @@ mod tests {
             })
             .collect();
         let r_max = radii.iter().cloned().fold(0.0, f64::max);
-        let g = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default())
-            .expect("valid radius");
+        let g = production(&tree, r_max);
         for pruned in [true, false] {
             assert_eq!(
                 multi_radius_graph(&tree, &g, &radii, false).solution,
@@ -1002,8 +1009,7 @@ mod tests {
         let data = clustered(300, 2, 4, 87);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         let r = 0.09;
-        let g = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
-            .expect("valid radius");
+        let g = production(&tree, r);
         let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
         tree.reset_node_accesses();
         tree.reset_distance_computations();
@@ -1031,8 +1037,7 @@ mod tests {
     fn zoom_in_graph_rejects_undersized_graph() {
         let data = uniform(80, 2, 88);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        let g = StratifiedDiskGraph::from_mtree(&tree, 0.05, SelfJoinConfig::default())
-            .expect("valid radius");
+        let g = production(&tree, 0.05);
         let prev = greedy_disc(&tree, 0.2, GreedyVariant::Grey, true);
         let _ = greedy_zoom_in_graph(&g, &prev, 0.1);
     }
@@ -1068,12 +1073,13 @@ mod tests {
             ..prev.clone()
         };
 
-        let g = UnitDiskGraph::from_mtree(&tree, r);
-        let g2 = UnitDiskGraph::from_mtree(&tree2, r);
+        let s = production(&tree, r_max);
+        let s2 = &build.graph;
         assert!(
-            g2.permutation().is_some(),
+            s2.permutation().is_some(),
             "canonical order is not identity here"
         );
+        let (g, g2) = (s.view(r), s2.view(r));
         assert_eq!(
             greedy_disc_graph(&g).solution,
             greedy_disc_graph(&g2).solution
@@ -1081,9 +1087,6 @@ mod tests {
         assert_eq!(greedy_c_graph(&g).solution, greedy_c_graph(&g2).solution);
         assert_eq!(fast_c_graph(&g).solution, fast_c_graph(&g2).solution);
 
-        let s = StratifiedDiskGraph::from_mtree(&tree, r_max, SelfJoinConfig::default())
-            .expect("valid radius");
-        let s2 = &build.graph;
         let prev = greedy_disc(&tree, r_max, GreedyVariant::Grey, true);
         for r_new in [0.07, 0.03] {
             assert_eq!(
@@ -1165,14 +1168,15 @@ mod tests {
         ) {
             let data = uniform(100, 2, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let g = UnitDiskGraph::from_mtree(&tree, r);
+            let graph = production(&tree, r);
+            let g = graph.view(r);
 
             let disc = greedy_disc_graph(&g);
             prop_assert_eq!(
                 &disc.solution,
                 &greedy_disc(&tree, r, GreedyVariant::Grey, true).solution
             );
-            prop_assert_eq!(&disc.solution, &greedy_disc_ref(&g));
+            prop_assert_eq!(&disc.solution, &greedy_disc_ref(&UnitDiskGraph::build(&data, r)));
             prop_assert!(verify_disc(&data, &disc.solution, r).is_valid());
 
             let cover_tree = greedy_c(&tree, r).solution;

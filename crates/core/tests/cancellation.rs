@@ -12,7 +12,7 @@
 //!
 //! The fixed-radius runners take any `NeighborSource`; both are pinned
 //! here: the `StratifiedView` prefix the serving layer selects on, and
-//! the id-sorted `UnitDiskGraph` reference.
+//! the id-sorted O(n²) `UnitDiskGraph` reference.
 
 use std::time::Duration;
 
@@ -26,7 +26,8 @@ use disc_core::{
     zoom_in_graph_checked, zoom_out_graph, zoom_out_graph_checked, GreedyVariant, ZoomOutVariant,
 };
 use disc_datasets::synthetic::clustered;
-use disc_graph::{NeighborSource, StratifiedDiskGraph, UnitDiskGraph};
+use disc_graph::reference::UnitDiskGraph;
+use disc_graph::{NeighborSource, StratifiedDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
 
@@ -45,7 +46,7 @@ fn expired_token() -> CancelToken {
 fn live_token_is_transparent_for_every_checked_runner() {
     let data = clustered(400, 2, 5, 170);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-    let udg = UnitDiskGraph::from_mtree(&tree, R);
+    let udg = UnitDiskGraph::build(&data, R);
     let strat =
         StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let prev = greedy_disc(&tree, R, GreedyVariant::Grey, true);
@@ -116,7 +117,7 @@ fn live_token_is_transparent_for_every_checked_runner() {
 fn expired_deadline_cancels_every_checked_runner() {
     let data = clustered(300, 2, 4, 171);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-    let udg = UnitDiskGraph::from_mtree(&tree, R);
+    let udg = UnitDiskGraph::build(&data, R);
     let strat =
         StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let prev = greedy_disc(&tree, R, GreedyVariant::Grey, true);
@@ -214,7 +215,7 @@ fn assert_budget_cancels_mid_scan<G: NeighborSource>(g: &G) {
 fn budget_token_cancels_mid_scan_deterministically() {
     let data = clustered(400, 2, 5, 172);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-    assert_budget_cancels_mid_scan(&UnitDiskGraph::from_mtree(&tree, R));
+    assert_budget_cancels_mid_scan(&UnitDiskGraph::build(&data, R));
     let strat =
         StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     assert_budget_cancels_mid_scan(&strat.view(R));
@@ -229,7 +230,7 @@ fn budget_token_cancels_mid_scan_deterministically() {
 fn explicit_cancel_is_observed() {
     let data = clustered(300, 2, 4, 173);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
-    let udg = UnitDiskGraph::from_mtree(&tree, R);
+    let udg = UnitDiskGraph::build(&data, R);
     let strat =
         StratifiedDiskGraph::from_mtree(&tree, R, SelfJoinConfig::default()).expect("valid radius");
     let t = CancelToken::new();

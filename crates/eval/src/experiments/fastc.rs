@@ -2,9 +2,9 @@
 //! accesses than Greedy-C while computing similar-sized solutions (with a
 //! larger share of independent objects).
 
+use disc_core::verify::dependent_pairs;
 use disc_core::{fast_c, greedy_c};
 use disc_datasets::Workload;
-use disc_graph::{sets::is_independent, UnitDiskGraph};
 
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
@@ -43,11 +43,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     / slow.node_accesses as f64;
                 // Independence share indicator: is the Fast-C solution an
                 // independent set (it often is; Greedy-C's usually not).
-                let g = UnitDiskGraph::build(&data, r);
                 let indep = format!(
                     "G-C:{} Fast-C:{}",
-                    is_independent(&g, &slow.solution),
-                    is_independent(&g, &fast.solution)
+                    dependent_pairs(&data, &slow.solution, r).is_empty(),
+                    dependent_pairs(&data, &fast.solution, r).is_empty()
                 );
                 table.push_row(vec![
                     r.to_string(),

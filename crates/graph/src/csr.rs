@@ -1,25 +1,18 @@
-//! Shared CSR assembly behind [`crate::StratifiedDiskGraph`]
-//! (distance-annotated rows) and the reference [`crate::UnitDiskGraph`]
-//! (plain id rows).
-//!
-//! * **distance rows** ([`assemble_dist`]) — the one production
-//!   assembly. A degree count and fill walk any number of edge slices
-//!   in place (the sharded build's intra-shard self-joins plus boundary
-//!   cross-joins, or one self-join's output as a single slice) and write
-//!   each directed entry straight into the two *final* aligned arrays
-//!   (`dists`, `neighbors`), never concatenating the slices or
-//!   materialising an intermediate `(f64, id)` array-of-structs. Rows
-//!   then sort by `(distance, id)` in a parallel phase;
-//! * **plain rows** ([`assemble`]) — a serial counting sort for the
-//!   reference graph; rows sort by id.
+//! The distance-row CSR assembly behind [`crate::StratifiedDiskGraph`]
+//! ([`assemble_dist`]). A degree count and fill walk any number of edge
+//! slices in place (the sharded build's intra-shard self-joins plus
+//! boundary cross-joins, or one self-join's output as a single slice)
+//! and write each directed entry straight into the two *final* aligned
+//! arrays (`dists`, `neighbors`), never concatenating the slices or
+//! materialising an intermediate `(f64, id)` array-of-structs. Rows then
+//! sort by `(distance, id)` in a parallel phase.
 //!
 //! Determinism contract: the per-row order is **total** (rows never
-//! repeat an id, so the id — after the distance key, if any —
-//! suffices). Offsets are pure degree counts and every row is sorted by
-//! that total order, so the assembled arrays are a pure function of the
-//! edge *set*: byte-identical for every slicing of the edges and every
-//! worker count (pinned by the graph tests and the workspace
-//! concurrency tier).
+//! repeat an id, so the id after the distance key suffices). Offsets
+//! are pure degree counts and every row is sorted by that total order,
+//! so the assembled arrays are a pure function of the edge *set*:
+//! byte-identical for every slicing of the edges and every worker count
+//! (pinned by the graph tests and the workspace concurrency tier).
 //!
 //! ## Radix-sorted distance rows
 //!
@@ -59,45 +52,6 @@ pub(crate) type DistCsr = (Vec<usize>, Vec<f64>, Vec<ObjId>);
 /// A distance-annotated undirected edge, as the self-join emits it.
 pub(crate) type DistEdge = (ObjId, ObjId, f64);
 
-/// Degree counts turned into the `n + 1` CSR row boundaries — the one
-/// offsets definition both assemblies share.
-fn degree_offsets(n: usize, ends: impl Iterator<Item = (ObjId, ObjId)>) -> Vec<usize> {
-    let mut offsets = vec![0usize; n + 1];
-    for (i, j) in ends {
-        debug_assert!(i != j, "self-loop ({i}, {j})");
-        offsets[i + 1] += 1;
-        offsets[j + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    offsets
-}
-
-/// Serial counting-sort assembly for plain rows: degree counts, prefix
-/// sum, fill, per-row sort. Returns `(offsets, neighbors)` with `n + 1`
-/// offsets.
-pub(crate) fn assemble(n: usize, edges: &[(ObjId, ObjId)]) -> (Vec<usize>, Vec<ObjId>) {
-    let offsets = degree_offsets(n, edges.iter().copied());
-    let mut neighbors = vec![0 as ObjId; offsets[n]];
-    let mut cursor = offsets.clone();
-    for &(i, j) in edges {
-        neighbors[cursor[i]] = j;
-        cursor[i] += 1;
-        neighbors[cursor[j]] = i;
-        cursor[j] += 1;
-    }
-    for v in 0..n {
-        let row = &mut neighbors[offsets[v]..offsets[v + 1]];
-        row.sort_unstable();
-        debug_assert!(
-            row.windows(2).all(|w| w[0] != w[1]),
-            "duplicate edge incident to vertex {v}"
-        );
-    }
-    (offsets, neighbors)
-}
-
 /// Distance-row assembly from one or more edge slices: the degree count
 /// and fill walk the slices in place, then the row sort runs as an
 /// entry-balanced parallel phase ([`sort_dist_rows`]).
@@ -122,12 +76,15 @@ pub(crate) fn assemble_dist(
         c.checkpoint()?;
     }
     let merge_start = std::time::Instant::now();
-    let offsets = degree_offsets(
-        n,
-        slices
-            .iter()
-            .flat_map(|s| s.iter().map(|&(i, j, _)| (i, j))),
-    );
+    let mut offsets = vec![0usize; n + 1];
+    for &(i, j, _) in slices.iter().flat_map(|s| s.iter()) {
+        debug_assert!(i != j, "self-loop ({i}, {j})");
+        offsets[i + 1] += 1;
+        offsets[j + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
     let total = offsets[n];
     let mut dists = vec![0.0f64; total];
     let mut neighbors = vec![0 as ObjId; total];

@@ -11,8 +11,7 @@
 
 use disc_metric::ObjId;
 
-use crate::graph::UnitDiskGraph;
-use crate::reference::greedy_disc_ref;
+use crate::reference::{greedy_disc_ref, UnitDiskGraph};
 use crate::sets::is_independent_dominating;
 
 /// Computes a minimum independent dominating set of `g` (equivalently, a

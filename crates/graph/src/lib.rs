@@ -6,34 +6,32 @@
 //! `r` (a unit-disk graph under the Euclidean metric). This crate builds
 //! that graph view and provides:
 //!
-//! * [`StratifiedDiskGraph`] — the one production graph: the edge set
-//!   at the largest radius of interest with exact distances and per-row
-//!   `(distance, id)`-sorted adjacency, so the induced subgraph at any
-//!   smaller radius is a zero-cost prefix view
-//!   ([`StratifiedDiskGraph::view`]) — the substrate every
-//!   graph-resident runner in `disc-core` selects on. It is assembled
-//!   from distance-annotated self-join edge slices
-//!   ([`StratifiedDiskGraph::from_dist_edges`]),
-//! * [`UnitDiskGraph`] — the id-sorted single-radius reference graph,
-//!   built by an O(n²) scan or one plain M-tree self-join
-//!   ([`UnitDiskGraph::from_mtree`]); see [`graph`],
+//! * [`StratifiedDiskGraph`] — the one graph representation: the edge
+//!   set at the largest radius of interest with exact distances and
+//!   per-row `(distance, id)`-sorted adjacency, so the induced subgraph
+//!   at any smaller radius is a zero-cost prefix view
+//!   ([`StratifiedDiskGraph::view`]) — the substrate every selection in
+//!   `disc-core` reads. It is assembled from distance-annotated
+//!   self-join edge slices ([`StratifiedDiskGraph::from_dist_edges`]),
 //! * [`NeighborSource`] — the adjacency interface those runners read,
-//!   implemented by the prefix view and by [`UnitDiskGraph`],
+//!   implemented by the prefix view and by the reference graph,
 //! * [`sets`] — the coverage/dominance and dissimilarity/independence
 //!   predicates of Definition 1,
 //! * [`exact`] — an exact branch-and-bound solver for the minimum
 //!   independent dominating set, tractable for the small instances tests
 //!   use to validate the Theorem 1/2 approximation bounds,
-//! * [`mod@reference`] — index-free reference implementations of Basic-DisC,
-//!   Greedy-DisC and Greedy-C with the same deterministic tie-breaking as
-//!   the M-tree implementations in `disc-core`, used for cross-validation,
+//! * [`mod@reference`] — the test oracle: the id-sorted
+//!   [`reference::UnitDiskGraph`], built only by its O(n²) scan or by
+//!   copying a view, plus index-free reference implementations of
+//!   Basic-DisC, Greedy-DisC and Greedy-C with the same deterministic
+//!   tie-breaking as the M-tree implementations in `disc-core`, used for
+//!   cross-validation,
 //! * [`jaccard`] — the Jaccard distance between solutions, the similarity
 //!   measure of the zooming experiments (Figures 13 and 16).
 
 mod csr;
 pub mod error;
 pub mod exact;
-pub mod graph;
 pub mod jaccard;
 pub mod reference;
 pub mod sets;
@@ -43,7 +41,6 @@ pub mod stream;
 
 pub use error::GraphError;
 pub use exact::minimum_independent_dominating_set;
-pub use graph::UnitDiskGraph;
 pub use jaccard::jaccard_distance;
 pub use sets::{is_dominating, is_independent, is_independent_dominating};
 pub use source::NeighborSource;

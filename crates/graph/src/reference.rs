@@ -1,15 +1,155 @@
-//! Index-free reference implementations of the paper's heuristics.
+//! Index-free reference implementations: the graph `G_{P,r}` built by
+//! the O(n²) all-pairs scan, and the paper's heuristics over it.
 //!
-//! These operate directly on the materialised [`UnitDiskGraph`] and use
-//! the same deterministic tie-breaking as the M-tree implementations in
-//! `disc-core` (largest white neighbourhood first, smallest id on ties),
-//! so the integration tests can assert *identical* solutions between the
-//! two implementations — a strong cross-validation of the much more
-//! intricate index-based code.
+//! [`UnitDiskGraph`] is the **oracle**, not a production graph: every
+//! selection in the serving path reads a [`crate::StratifiedView`]
+//! prefix of the [`crate::StratifiedDiskGraph`]. The reference graph
+//! has exactly two ways in, neither of which shares code with the
+//! production build:
+//!
+//! * [`UnitDiskGraph::build`] — the all-pairs scan, filling id-sorted
+//!   rows directly;
+//! * [`crate::StratifiedView::to_unit_disk_graph`] — a copy of a view
+//!   with its rows re-sorted by id, so property tests can compare a
+//!   production view against an independently built graph with `==`.
+//!
+//! The heuristics ([`basic_disc_ref`], [`greedy_disc_ref`],
+//! [`greedy_c_ref`]) use the same deterministic tie-breaking as the
+//! M-tree implementations in `disc-core` (largest white neighbourhood
+//! first, smallest id on ties), so the integration tests can assert
+//! *identical* solutions between the two implementations — a strong
+//! cross-validation of the much more intricate index-based code.
 
-use disc_metric::ObjId;
+use std::sync::Arc;
 
-use crate::graph::UnitDiskGraph;
+use disc_metric::{Dataset, IdPermutation, ObjId};
+
+/// Undirected graph over the objects of a dataset, with an edge `(i, j)`
+/// iff `dist(i, j) ≤ r` and `i ≠ j`. Stored as CSR (`offsets` plus one
+/// flat `neighbors` array); adjacency rows are sorted by id.
+///
+/// Vertex ids are the dataset's *internal* ids (see `disc_metric::ids`);
+/// a graph built from a renumbered dataset carries the dataset's
+/// [`IdPermutation`] so [`UnitDiskGraph::external_id`] can translate
+/// back to external numbering.
+#[derive(Clone, Debug, PartialEq)]
+pub struct UnitDiskGraph {
+    radius: f64,
+    /// Row boundaries: `n + 1` entries, `offsets[0] == 0`.
+    offsets: Vec<usize>,
+    /// Concatenated id-sorted adjacency rows (each undirected edge
+    /// appears twice, once per endpoint).
+    neighbors: Vec<ObjId>,
+    /// Internal↔external id bijection; `None` = identity.
+    perm: Option<Arc<IdPermutation>>,
+}
+
+impl UnitDiskGraph {
+    /// Materialises `G_{P,r}` by examining all `n(n−1)/2` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `radius` is NaN or negative.
+    pub fn build(data: &Dataset, radius: f64) -> Self {
+        assert!(radius >= 0.0, "radius must be non-negative");
+        let n = data.len();
+        // Pairs are scanned in ascending `(i, j)` order, so every row
+        // receives its neighbours in ascending id order.
+        let mut rows: Vec<Vec<ObjId>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if data.dist(i, j) <= radius {
+                    rows[i].push(j);
+                    rows[j].push(i);
+                }
+            }
+        }
+        Self::from_rows(radius, n, |v| &rows[v], data.permutation().cloned())
+    }
+
+    /// Concatenates the `n` rows `row(v)` into the CSR, sorting each by
+    /// id as it is copied in. An identity permutation normalizes to
+    /// `None`.
+    pub(crate) fn from_rows<'a>(
+        radius: f64,
+        n: usize,
+        row: impl Fn(ObjId) -> &'a [ObjId],
+        perm: Option<Arc<IdPermutation>>,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::new();
+        for v in 0..n {
+            let start = neighbors.len();
+            neighbors.extend_from_slice(row(v));
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
+        }
+        Self {
+            radius,
+            offsets,
+            neighbors,
+            perm: perm.filter(|p| !p.is_identity()),
+        }
+    }
+
+    /// External id of vertex `v` (identity without a permutation).
+    #[inline]
+    pub fn external_id(&self, v: ObjId) -> ObjId {
+        match &self.perm {
+            Some(p) => p.external(v),
+            None => v,
+        }
+    }
+
+    /// The radius the graph was built for.
+    pub fn radius(&self) -> f64 {
+        self.radius
+    }
+
+    /// Number of vertices.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the graph has no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.offsets.len() == 1
+    }
+
+    /// Neighbours of `v` (the open neighbourhood `N_r(v)`), sorted by id.
+    #[inline]
+    pub fn neighbors(&self, v: ObjId) -> &[ObjId] {
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Degree of `v` (`|N_r(v)|`).
+    #[inline]
+    pub fn degree(&self, v: ObjId) -> usize {
+        self.offsets[v + 1] - self.offsets[v]
+    }
+
+    /// Maximum degree `Δ`, the Theorem 2 parameter.
+    pub fn max_degree(&self) -> usize {
+        (0..self.len()).map(|v| self.degree(v)).max().unwrap_or(0)
+    }
+
+    /// Number of undirected edges.
+    pub fn edge_count(&self) -> usize {
+        self.neighbors.len() / 2
+    }
+
+    /// Whether `u` and `v` are adjacent (binary search on the sorted
+    /// adjacency row).
+    pub fn adjacent(&self, u: ObjId, v: ObjId) -> bool {
+        self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Vertex ids.
+    pub fn vertices(&self) -> impl Iterator<Item = ObjId> + '_ {
+        0..self.len()
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum C {
@@ -149,9 +289,203 @@ pub fn greedy_c_ref(g: &UnitDiskGraph) -> Vec<ObjId> {
 mod tests {
     use super::*;
     use crate::sets::{is_dominating, is_independent, is_independent_dominating};
-    use disc_metric::{Dataset, Metric, Point};
+    use crate::StratifiedDiskGraph;
+    use disc_metric::{Metric, Point};
+    use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+
+    /// The Figure 3 configuration of the paper: seven objects forming the
+    /// depicted graph (v1..v7 as ids 0..6). Edges: (v1,v2), (v2,v3),
+    /// (v3,v4), (v4,v5), (v5,v6), (v5,v7), (v6,v7).
+    fn figure3() -> Dataset {
+        // Coordinates engineered so that exactly the listed pairs are
+        // within distance 1.0.
+        Dataset::new(
+            "figure3",
+            Metric::Euclidean,
+            vec![
+                Point::new2(0.0, 0.0),  // v1
+                Point::new2(0.9, 0.0),  // v2
+                Point::new2(1.8, 0.0),  // v3
+                Point::new2(2.7, 0.0),  // v4
+                Point::new2(3.6, 0.0),  // v5
+                Point::new2(4.2, 0.6),  // v6
+                Point::new2(4.2, -0.3), // v7
+            ],
+        )
+    }
+
+    /// Random data under any of the four metrics; Hamming gets
+    /// categorical codes so ties and exact matches actually occur.
+    fn random_data_metric(n: usize, seed: u64, metric: Metric) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts = (0..n)
+            .map(|_| {
+                if metric == Metric::Hamming {
+                    Point::categorical(&[
+                        rng.random_range(0..4u32),
+                        rng.random_range(0..4u32),
+                        rng.random_range(0..4u32),
+                        rng.random_range(0..4u32),
+                    ])
+                } else {
+                    Point::new2(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0))
+                }
+            })
+            .collect();
+        Dataset::new("random", metric, pts)
+    }
+
+    /// The reference graph's undirected edges as sorted `(u, v)` pairs
+    /// with `u < v`.
+    fn edge_list(g: &UnitDiskGraph) -> Vec<(ObjId, ObjId)> {
+        g.vertices()
+            .flat_map(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(move |&&u| v < u)
+                    .map(move |&u| (v, u))
+            })
+            .collect()
+    }
+
+    /// The plain `(ObjId, ObjId)` self-join's edges, oriented `u < v`
+    /// and sorted — comparable with [`edge_list`].
+    fn sorted_join(tree: &MTree<'_>, r: f64, threads: usize) -> Vec<(ObjId, ObjId)> {
+        let edges: Vec<(ObjId, ObjId)> = tree
+            .range_self_join(r, SelfJoinConfig::with_threads(threads))
+            .expect("valid radius");
+        let mut edges: Vec<_> = edges
+            .into_iter()
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn figure3_edges() {
+        let g = UnitDiskGraph::build(&figure3(), 1.0);
+        assert_eq!(g.len(), 7);
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(2), &[1, 3]);
+        assert_eq!(g.neighbors(3), &[2, 4]);
+        assert_eq!(g.neighbors(4), &[3, 5, 6]);
+        assert_eq!(g.neighbors(5), &[4, 6]);
+        assert_eq!(g.neighbors(6), &[4, 5]);
+        assert_eq!(g.edge_count(), 7);
+        assert_eq!(g.max_degree(), 3);
+    }
+
+    #[test]
+    fn adjacency_is_symmetric() {
+        let g = UnitDiskGraph::build(&figure3(), 1.0);
+        for u in g.vertices() {
+            for v in g.vertices() {
+                assert_eq!(g.adjacent(u, v), g.adjacent(v, u));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_radius_yields_no_edges_for_distinct_points() {
+        let g = UnitDiskGraph::build(&figure3(), 0.0);
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.max_degree(), 0);
+    }
+
+    #[test]
+    fn large_radius_yields_complete_graph() {
+        let data = figure3();
+        let g = UnitDiskGraph::build(&data, 100.0);
+        for v in g.vertices() {
+            assert_eq!(g.degree(v), data.len() - 1);
+        }
+    }
+
+    #[test]
+    fn radius_accessor() {
+        let g = UnitDiskGraph::build(&figure3(), 0.5);
+        assert_eq!(g.radius(), 0.5);
+        assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn view_conversion_sorts_rows_by_id() {
+        // At r = 2 the view row of v5 is in distance order (v7, v6, v4,
+        // v3), not id order; the conversion re-sorts each row and lands
+        // exactly on the scan.
+        let data = figure3();
+        let strat = StratifiedDiskGraph::build(&data, 2.0);
+        let view = strat.view(2.0);
+        assert_ne!(view.neighbors(4), &[2, 3, 5, 6]);
+        let g = view.to_unit_disk_graph();
+        assert_eq!(g.neighbors(4), &[2, 3, 5, 6]);
+        assert_eq!(g, UnitDiskGraph::build(&data, 2.0));
+    }
+
+    #[test]
+    fn isolated_vertices_and_empty_graph() {
+        let g = UnitDiskGraph::build(&figure3(), 0.5);
+        assert_eq!(g.len(), 7);
+        assert_eq!(g.edge_count(), 0);
+        assert!(g.neighbors(1).is_empty());
+        let empty = StratifiedDiskGraph::from_csr_parts(0.5, vec![0], Vec::new(), Vec::new())
+            .expect("empty CSR is valid");
+        let empty = empty.view(0.5).to_unit_disk_graph();
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+    }
+
+    #[test]
+    fn all_duplicate_points_build_complete_graph_at_radius_zero() {
+        // Degenerate dataset: every point identical, so at r = 0 the
+        // graph is complete, and the plain self-join finds every pair at
+        // every thread count.
+        let n = 24;
+        let data = Dataset::new(
+            "all-dups",
+            Metric::Euclidean,
+            vec![Point::new2(0.4, 0.6); n],
+        );
+        let reference = UnitDiskGraph::build(&data, 0.0);
+        for v in reference.vertices() {
+            assert_eq!(reference.degree(v), n - 1);
+        }
+        let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(sorted_join(&tree, 0.0, threads), edge_list(&reference));
+        }
+    }
+
+    #[test]
+    fn radius_at_least_diameter_matches_reference_complete_graph() {
+        let data = random_data_metric(60, 12, Metric::Euclidean);
+        // Unit-square diameter is √2 < 2.0: complete graph.
+        let reference = UnitDiskGraph::build(&data, 2.0);
+        for v in reference.vertices() {
+            assert_eq!(reference.degree(v), data.len() - 1);
+        }
+        let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(sorted_join(&tree, 2.0, threads), edge_list(&reference));
+        }
+    }
+
+    #[test]
+    fn plain_self_join_matches_scan_on_figure3() {
+        let data = figure3();
+        let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
+        for r in [0.0, 0.5, 1.0, 2.0] {
+            assert_eq!(
+                sorted_join(&tree, r, 1),
+                edge_list(&UnitDiskGraph::build(&data, r)),
+                "r={r}"
+            );
+        }
+    }
 
     fn random_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -258,6 +592,48 @@ mod tests {
         assert!(is_dominating(&g, &c));
         assert!(is_independent_dominating(&g, &d));
         assert!(c.len() <= d.len(), "C {c:?} vs DisC {d:?}");
+    }
+
+    const ALL_METRICS: [Metric; 4] = [
+        Metric::Euclidean,
+        Metric::Manhattan,
+        Metric::Chebyshev,
+        Metric::Hamming,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The plain self-join's edge set equals the O(n²) reference
+        /// graph's on all four metrics across random radii and tree
+        /// capacities, with and without parent-distance pruning (mirror
+        /// of the mtree crate's
+        /// `all_variants_match_linear_scan_on_every_metric`).
+        #[test]
+        fn self_join_graph_matches_reference_on_every_metric(
+            seed in 0u64..500,
+            frac in 0.0..1.05f64,
+            cap in 2usize..10,
+            metric_idx in 0usize..4,
+        ) {
+            let metric = ALL_METRICS[metric_idx];
+            let data = random_data_metric(90, seed, metric);
+            let r = frac * metric.max_range(data.dim());
+            let r = if metric.is_discrete() { r.floor() } else { r };
+            let reference = edge_list(&UnitDiskGraph::build(&data, r));
+            let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
+            prop_assert_eq!(&sorted_join(&tree, r, 0), &reference, "{:?} r={}", metric, r);
+            let plain = MTree::build(
+                &data,
+                MTreeConfig::with_capacity(cap).with_parent_pruning(false),
+            );
+            prop_assert_eq!(
+                &sorted_join(&plain, r, 0),
+                &reference,
+                "no lemma, {:?} r={}",
+                metric,
+                r
+            );
+        }
     }
 
     proptest! {

@@ -11,7 +11,7 @@
 
 use disc_metric::ObjId;
 
-use crate::graph::UnitDiskGraph;
+use crate::reference::UnitDiskGraph;
 
 /// Whether `set` is an independent set of `g` (the dissimilarity condition:
 /// all pairs more than `r` apart).

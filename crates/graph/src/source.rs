@@ -1,13 +1,13 @@
 //! The adjacency interface the graph-resident selection runners read.
 //!
 //! Greedy-DisC, Greedy-C and Fast-C only need the vertex count, the
-//! rows, external ids and the radius. Two representations provide them:
+//! rows, external ids and the radius. Two types provide them:
 //!
 //! * [`StratifiedView`] — the serving path: the prefix view of a
 //!   [`crate::StratifiedDiskGraph`] at `r' ≤ r_max`, rows in
 //!   `(distance, id)` order;
-//! * [`UnitDiskGraph`] — the id-sorted CSR, the reference the oracles
-//!   and property tests compare against.
+//! * [`UnitDiskGraph`] — the id-sorted O(n²) oracle of
+//!   [`crate::reference`], which tests run the same runners on.
 //!
 //! Row order is not part of the contract: the runners' counts depend
 //! only on row membership and their heap breaks ties by external id, so
@@ -15,7 +15,7 @@
 
 use disc_metric::ObjId;
 
-use crate::graph::UnitDiskGraph;
+use crate::reference::UnitDiskGraph;
 use crate::stratified::StratifiedView;
 
 /// Read-only adjacency of `G_{P,r}` in internal vertex ids. See the

@@ -2,13 +2,12 @@
 //! at the largest radius of interest, zero-cost subgraphs at every
 //! smaller radius.
 //!
-//! [`UnitDiskGraph`] materialises `G_{P,r}` for **one** radius; the
-//! adaptive-radius algorithms (zooming, Sections 3 and 5.2 of the paper;
-//! multiple radii per object, Section 8) consult neighbourhoods at
-//! *several* radii in one run, which previously forced them back onto
-//! tree-backed range queries ("each radius would need its own graph").
-//! The stratified graph removes that constraint: it stores the edge set
-//! of `G_{P,r_max}` with every edge's **exact distance**, and orders each
+//! `G_{P,r}` depends on the radius, and the adaptive-radius algorithms
+//! (zooming, Sections 3 and 5.2 of the paper; multiple radii per object,
+//! Section 8) consult neighbourhoods at *several* radii in one run, so a
+//! graph for one radius would need one build per radius. The stratified
+//! graph removes that constraint: it stores the edge set of
+//! `G_{P,r_max}` with every edge's **exact distance**, and orders each
 //! CSR adjacency row by that distance — so for any `r' ≤ r_max` the
 //! induced subgraph `G_{P,r'}` is a per-row *prefix*, located by one
 //! binary search per row and no distance computations at all.
@@ -32,13 +31,13 @@
 //! itself never compares floats: `f64::to_bits`, sign-flipped so
 //! unsigned integer order coincides with `f64::total_cmp`, feeds an MSD
 //! radix sort that partitions straight on the bytes that actually vary
-//! (see [`crate::csr`]'s module docs for the trick and its pins) and
+//! (see the `csr` module docs for the trick and its pins) and
 //! writes the `dists` / `neighbors` arrays directly — no intermediate
 //! `(f64, id)` rows, no comparator.
 //!
-//! Cost relative to the plain [`UnitDiskGraph`]: `dists` adds 8 bytes
-//! per directed edge on top of the 8-byte neighbor id. An `f32` ranking
-//! key (+4 bytes) was considered and rejected: the radius cutoffs must
+//! Cost relative to an id-only CSR: `dists` adds 8 bytes per directed
+//! edge on top of the 8-byte neighbor id. An `f32` ranking key
+//! (+4 bytes) was considered and rejected: the radius cutoffs must
 //! reproduce the *exact* `d ≤ r'` predicate of Definition 1 (the
 //! graph-resident runners are pinned byte-identical to tree-backed
 //! ones), and rounding a distance up through an `f32` could move an edge
@@ -54,8 +53,9 @@
 //!
 //! ## Selecting on it
 //!
-//! This is the one graph the serving path reads. A snapshot stores it,
-//! and every radius `r' ≤ r_max` is answered from it directly:
+//! This is the one graph representation: every selection reads it. A
+//! snapshot stores it, and every radius `r' ≤ r_max` is answered from
+//! it directly:
 //!
 //! * a fixed-radius selection (`disc_core`'s Greedy-DisC, Greedy-C and
 //!   Fast-C runners) reads a [`StratifiedView`], which implements
@@ -65,9 +65,9 @@
 //!   [`StratifiedDiskGraph::row_within`] prefixes and the annotated
 //!   distances directly.
 //!
-//! [`UnitDiskGraph`] stays the id-sorted reference: the all-pairs
-//! oracle the property tests compare views against, and the target of
-//! [`StratifiedView::to_unit_disk_graph`].
+//! The id-sorted [`UnitDiskGraph`] of [`crate::reference`] is a test
+//! oracle only: the all-pairs scan the property tests compare views
+//! against, and the target of [`StratifiedView::to_unit_disk_graph`].
 //!
 //! ## Building it
 //!
@@ -85,7 +85,7 @@ use disc_metric::{Dataset, IdPermutation, ObjId};
 use disc_mtree::{DistEdge, MTree, SelfJoinConfig};
 
 use crate::error::GraphError;
-use crate::graph::UnitDiskGraph;
+use crate::reference::UnitDiskGraph;
 
 /// Distance-annotated CSR adjacency over the objects of a dataset at a
 /// maximum radius `r_max`, rows sorted by `(distance, id)` so every
@@ -849,23 +849,18 @@ impl StratifiedView<'_> {
         self.graph.external_id(v)
     }
 
-    /// Copies the view into a plain [`UnitDiskGraph`] with rows
-    /// re-sorted by id — the **reference conversion**. No distance
-    /// computations, but a full copy of the edge set: the selection
-    /// runners read the view itself (it is a
-    /// [`crate::NeighborSource`]), so this exists for oracles and
-    /// tests that pin a view against an independently built graph.
+    /// Copies the view into the reference [`UnitDiskGraph`], each row
+    /// re-sorted by id. No distance computations, but a full copy of
+    /// the edge set: the selection runners read the view itself (it is
+    /// a [`crate::NeighborSource`]), so this exists for tests that pin
+    /// a view against the independently built O(n²) graph.
     pub fn to_unit_disk_graph(&self) -> UnitDiskGraph {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for v in 0..self.len() {
-            for &u in self.neighbors(v) {
-                if v < u {
-                    edges.push((v, u));
-                }
-            }
-        }
-        UnitDiskGraph::from_edges(self.len(), self.radius, &edges)
-            .with_permutation(self.graph.perm.clone())
+        UnitDiskGraph::from_rows(
+            self.radius,
+            self.len(),
+            |v| self.neighbors(v),
+            self.graph.perm.clone(),
+        )
     }
 }
 

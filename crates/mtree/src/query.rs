@@ -28,7 +28,10 @@
 //! only [`MTree::distance_computations`] changes. Every exclusion test
 //! keeps a relative ulp margin scaled to the rounded distances it reads
 //! (the self-join's rule), so a point at distance exactly `r` is never
-//! dropped by rounding in a bound.
+//! dropped by rounding in a bound; every inclusion shortcut keeps the
+//! same margin on the other side (`within_inclusion`), so a point whose
+//! computed distance rounds just above `r` is never accepted from a
+//! bound.
 //!
 //! ## Scratch buffers
 //!
@@ -41,7 +44,7 @@ use disc_metric::{ObjId, Point};
 
 use crate::color::ColorState;
 use crate::node::{NodeId, NodeKind};
-use crate::selfjoin::excludes;
+use crate::selfjoin::{excludes, within_inclusion};
 use crate::tree::MTree;
 
 /// One range-query result: an object and its distance from the query.
@@ -384,7 +387,10 @@ impl MTree<'_> {
             }
         }
         let d = self.dist_q(pivot, q);
-        if !S::NEEDS_DIST && self.config().parent_pruning && d + c.radius <= r {
+        if !S::NEEDS_DIST
+            && self.config().parent_pruning
+            && within_inclusion(d + c.radius, r, q.len())
+        {
             // Inclusion: the whole child ball lies inside the query ball,
             // so every object below is a hit — enumerate them with zero
             // further distance computations.
@@ -497,7 +503,7 @@ impl MTree<'_> {
                 }
                 // Inclusion (object-only collectors): the entry provably
                 // lies inside the ball — accept it distance-free.
-                if !S::NEEDS_DIST && dq + e.dist_to_pivot <= r {
+                if !S::NEEDS_DIST && within_inclusion(dq + e.dist_to_pivot, r, dim) {
                     hits.accept(e.object, dq + e.dist_to_pivot);
                     continue;
                 }
@@ -513,7 +519,7 @@ impl MTree<'_> {
                     ) {
                         continue;
                     }
-                    if !S::NEEDS_DIST && dv + e.dist_to_vantage <= r {
+                    if !S::NEEDS_DIST && within_inclusion(dv + e.dist_to_vantage, r, dim) {
                         hits.accept(e.object, dv + e.dist_to_vantage);
                         continue;
                     }
@@ -524,7 +530,7 @@ impl MTree<'_> {
                     if excludes((dv2 - e.dist_to_vantage2).abs(), r, scale, dim) {
                         continue;
                     }
-                    if !S::NEEDS_DIST && dv2 + e.dist_to_vantage2 <= r {
+                    if !S::NEEDS_DIST && within_inclusion(dv2 + e.dist_to_vantage2, r, dim) {
                         hits.accept(e.object, dv2 + e.dist_to_vantage2);
                         continue;
                     }
@@ -611,6 +617,45 @@ mod tests {
                             want,
                             "bottom-up {what}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn points_just_past_the_radius_are_never_included() {
+        // The opposite side of the hundredths fixture: an inclusion
+        // bound `d(q, ref) + d(ref, e)` can round to exactly `r` while
+        // the object's own computed distance rounds an ulp above it.
+        // The object-only collectors must still compute that distance
+        // instead of accepting the object from the bound.
+        let n = 300;
+        for metric in [Metric::Manhattan, Metric::Chebyshev] {
+            let pts = (0..n)
+                .map(|i| Point::new2((i * 37 % 100) as f64 * 0.01, (i * 61 % 100) as f64 * 0.01))
+                .collect();
+            let data = Dataset::new("hundredths", metric, pts);
+            for cap in [4, 8] {
+                let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
+                let mut bottom_up = Vec::new();
+                for r in [0.24, 0.42, 0.48] {
+                    for center in 0..n {
+                        let mut want = neighbors::closed_neighbors(&data, center, r);
+                        want.sort_unstable();
+                        let what = format!("{metric:?} cap={cap} r={r} center={center}");
+                        let mut top_down = tree.range_query_objs(center, r);
+                        top_down.sort_unstable();
+                        assert_eq!(top_down, want, "top-down {what}");
+                        tree.range_query_objs_bottom_up_into(
+                            center,
+                            r,
+                            None,
+                            false,
+                            &mut bottom_up,
+                        );
+                        bottom_up.sort_unstable();
+                        assert_eq!(bottom_up, want, "bottom-up {what}");
                     }
                 }
             }

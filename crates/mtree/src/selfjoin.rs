@@ -83,8 +83,7 @@
 //!   shortcuts emit edges distance-free, so its counter total is the
 //!   baseline of the `build_dc ≤ plain_dc + edges` gate (every distance
 //!   the annotated traversal computes beyond the plain one belongs to an
-//!   emitted edge), and `disc-graph`'s reference `UnitDiskGraph` is
-//!   built from it.
+//!   emitted edge).
 //!
 //! Stripped of the annotations, the two edge lists are byte-identical,
 //! with the same serial/parallel parity guarantees (tests pin both).
@@ -95,7 +94,7 @@
 //!
 //! Every edge is emitted as `(a, b)` with `a < b`, and the edge list is
 //! in **task order**: the traversal is a sequence of *node-pair tasks*
-//! ([`Task`] below — a subtree joined with itself, or two disjoint
+//! (`Task` below — a subtree joined with itself, or two disjoint
 //! subtrees joined with a known pivot distance), visited in depth-first
 //! serial order; the output is the concatenation of each leaf-level
 //! task's edges in that order. The serial and parallel drivers produce

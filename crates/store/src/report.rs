@@ -1,6 +1,6 @@
 //! Non-fail-fast snapshot triage: the machinery behind `disc doctor`.
 //!
-//! [`load`](crate::load) stops at the first broken layer — the right
+//! [`load`] stops at the first broken layer — the right
 //! behaviour for a serving process, the wrong one for an operator
 //! holding a damaged file who wants to know *everything* that is wrong
 //! with it. [`inspect`] reads the same version-1 layout but keeps going:
@@ -11,7 +11,7 @@
 //! sections).
 //!
 //! The [`SnapshotReport::verdict`] field is computed by calling
-//! [`load`](crate::load) on the same bytes, so a doctor report can
+//! [`load`] on the same bytes, so a doctor report can
 //! never disagree with what a serving process would accept or reject —
 //! the triage detail is additive, not a second opinion.
 
@@ -73,7 +73,7 @@ pub struct SnapshotReport {
     /// and section table first, then the six payload sections in file
     /// order (payload lines require a readable section table).
     pub checks: Vec<SectionCheck>,
-    /// The fail-fast [`load`](crate::load) outcome on the same bytes —
+    /// The fail-fast [`load`] outcome on the same bytes —
     /// exactly what a serving process would do with this file.
     pub verdict: Result<(), StoreError>,
 }

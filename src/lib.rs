@@ -8,7 +8,8 @@
 //!
 //! * [`metric`] — points, metrics, datasets, analytical bounds,
 //! * [`mtree`] — the M-tree spatial index with node-access accounting,
-//! * [`graph`] — the unit-disk graph view and exact/reference solvers,
+//! * [`graph`] — the stratified unit-disk graph every selection reads,
+//!   and the O(n²) reference graph and exact solvers that test it,
 //! * [`datasets`] — the paper's four workloads (Uniform, Clustered, Cities,
 //!   Cameras),
 //! * [`core`] — the DisC heuristics and zooming operators,
@@ -56,7 +57,7 @@ pub mod prelude {
         verify_disc, zoom_in, zoom_in_graph, zoom_out, zoom_out_graph, BasicOrder, DiscResult,
         GreedyVariant, ZoomOutVariant,
     };
-    pub use disc_graph::{StratifiedDiskGraph, UnitDiskGraph};
+    pub use disc_graph::{StratifiedDiskGraph, StratifiedView};
     pub use disc_metric::{Dataset, Metric, ObjId, Point};
     pub use disc_mtree::{MTree, MTreeConfig, PartitionPolicy, PromotePolicy, SplitPolicy};
 }

@@ -26,7 +26,8 @@
 //! * degenerate inputs: single object, all-duplicate points, r = 0 and
 //!   r ≥ diameter.
 
-use disc_diversity::graph::{StratifiedDiskGraph, UnitDiskGraph};
+use disc_diversity::graph::reference::UnitDiskGraph;
+use disc_diversity::graph::StratifiedDiskGraph;
 use disc_diversity::metric::{Dataset, Metric, ObjId, Point};
 use disc_diversity::mtree::{DistEdge, MTree, MTreeConfig, SelfJoinConfig};
 use disc_diversity::prelude::*;
@@ -154,12 +155,12 @@ fn csr_is_byte_identical_across_shard_counts_on_all_metrics() {
         let data = random_data_metric(140, 42, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         for r in radii_for(metric) {
-            assert_eq!(
-                UnitDiskGraph::from_mtree(&tree, r),
-                UnitDiskGraph::build(&data, r),
-                "{metric:?} r={r}: from_mtree"
-            );
             let reference = StratifiedDiskGraph::build(&data, r);
+            assert_eq!(
+                reference.view(r).to_unit_disk_graph(),
+                UnitDiskGraph::build(&data, r),
+                "{metric:?} r={r}: stratified oracle vs id-sorted oracle"
+            );
             let edges = annotated(&tree, r, 1);
             let (a, rest) = edges.split_at(edges.len() / 3);
             let (b, c) = rest.split_at(rest.len() / 2);
@@ -387,12 +388,12 @@ fn stratified_zooming_is_thread_count_independent() {
 fn graph_resident_solutions_are_thread_count_independent() {
     // End-to-end: the full graph pipeline (parallel self-join →
     // multi-worker CSR → graph-resident selection) picks the same
-    // solutions as the serial reference graph and the tree-backed exact
+    // solutions as the O(n²) reference graph and the tree-backed exact
     // runners.
     let data = random_data_metric(250, 45, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
     let r = 0.1;
-    let serial_graph = UnitDiskGraph::from_edges(data.len(), r, &plain(&tree, r, 1));
+    let serial_graph = UnitDiskGraph::build(&data, r);
     let want_disc = greedy_disc_graph(&serial_graph).solution;
     let want_c = greedy_c_graph(&serial_graph).solution;
     assert_eq!(

@@ -4,8 +4,10 @@
 //! which pins down the intricate index-based bookkeeping.
 
 use disc_diversity::datasets::synthetic;
-use disc_diversity::graph::reference::{basic_disc_ref, greedy_c_ref, greedy_disc_ref};
-use disc_diversity::graph::UnitDiskGraph;
+use disc_diversity::graph::reference::{
+    basic_disc_ref, greedy_c_ref, greedy_disc_ref, UnitDiskGraph,
+};
+use disc_diversity::mtree::SelfJoinConfig;
 use disc_diversity::prelude::*;
 
 fn workloads() -> Vec<disc_diversity::metric::Dataset> {
@@ -66,17 +68,26 @@ fn greedy_c_matches_reference_exactly() {
 
 #[test]
 fn graph_resident_pipeline_matches_tree_backed_and_reference() {
-    // End-to-end pin of the bulk pipeline: self-join materialisation,
-    // CSR assembly, graph-resident selection — against both the
-    // tree-backed exact runners and the index-free references.
+    // End-to-end pin of the production pipeline: annotated self-join,
+    // stratified CSR assembly, selection on the prefix view — against
+    // both the tree-backed exact runners and the index-free references
+    // over the O(n²) graph.
     for data in workloads() {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
         tree.reset_node_accesses();
         for r in [0.05, 0.12, 0.3] {
-            let g = UnitDiskGraph::from_mtree(&tree, r);
-            assert_eq!(g, UnitDiskGraph::build(&data, r), "{} r={r}", data.name());
+            let graph = StratifiedDiskGraph::from_mtree(&tree, r, SelfJoinConfig::default())
+                .expect("valid radius");
+            let g = graph.view(r);
+            let oracle = UnitDiskGraph::build(&data, r);
+            assert_eq!(g.to_unit_disk_graph(), oracle, "{} r={r}", data.name());
             let disc = greedy_disc_graph(&g);
-            assert_eq!(disc.solution, greedy_disc_ref(&g), "{} r={r}", data.name());
+            assert_eq!(
+                disc.solution,
+                greedy_disc_ref(&oracle),
+                "{} r={r}",
+                data.name()
+            );
             assert_eq!(
                 disc.solution,
                 greedy_disc(&tree, r, GreedyVariant::Grey, true).solution,
@@ -84,7 +95,12 @@ fn graph_resident_pipeline_matches_tree_backed_and_reference() {
                 data.name()
             );
             let cover = greedy_c_graph(&g);
-            assert_eq!(cover.solution, greedy_c_ref(&g), "{} r={r}", data.name());
+            assert_eq!(
+                cover.solution,
+                greedy_c_ref(&oracle),
+                "{} r={r}",
+                data.name()
+            );
             assert_eq!(
                 fast_c_graph(&g).solution,
                 cover.solution,

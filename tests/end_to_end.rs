@@ -3,8 +3,9 @@
 
 use disc_diversity::baselines::{coverage_fraction, fmin};
 use disc_diversity::datasets::{camera_catalog, greek_cities, synthetic};
+use disc_diversity::graph::reference::UnitDiskGraph;
 use disc_diversity::graph::{
-    is_independent_dominating, jaccard_distance, minimum_independent_dominating_set, UnitDiskGraph,
+    is_independent_dominating, jaccard_distance, minimum_independent_dominating_set,
 };
 use disc_diversity::metric::bounds::respects_theorem1;
 use disc_diversity::prelude::*;

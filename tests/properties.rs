@@ -2,7 +2,8 @@
 //! for arbitrary datasets, radii and index configurations.
 
 use disc_diversity::datasets::synthetic;
-use disc_diversity::graph::{jaccard_distance, UnitDiskGraph};
+use disc_diversity::graph::jaccard_distance;
+use disc_diversity::graph::reference::UnitDiskGraph;
 use disc_diversity::metric::bounds::max_independent_neighbors;
 use disc_diversity::prelude::*;
 use proptest::prelude::*;

@@ -12,12 +12,19 @@
 //!   `LazyMaxHeap` external-rank tie-break (and its 2×-live-cap stale
 //!   rebuild) must keep repairs byte-identical to from-scratch greedy
 //!   runs through a long mutation sequence, on all four metrics.
+//!
+//! Selections run on `view(r)` directly, the path `serve` runs, and
+//! every standalone, chained zoom-in and repaired answer is also checked
+//! against Definition 1 by brute force (`verify_disc`) over the rebuilt
+//! live dataset — an oracle independent of both graphs.
 
 use std::sync::Arc;
 
-use disc_diversity::core::{greedy_disc_graph, greedy_zoom_in_graph, RepairableSolution};
+use disc_diversity::core::{
+    greedy_disc_graph, greedy_zoom_in_graph, verify_disc, RepairableSolution,
+};
 use disc_diversity::graph::{StratifiedDiskGraph, StreamingCatalog};
-use disc_diversity::metric::{Dataset, IdPermutation, Metric, Point};
+use disc_diversity::metric::{Dataset, IdPermutation, Metric, ObjId, Point};
 use disc_diversity::mtree::{MTree, MTreeConfig, SelfJoinConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
@@ -73,26 +80,38 @@ fn self_join_threads() -> usize {
         .unwrap_or(0)
 }
 
-/// From-scratch rebuild over the catalog's current object set through
-/// the production pipeline: the live external ids ride in as a sparse
-/// permutation, so the rebuilt graph ranks greedy candidates by the
-/// same external ids as the mutated one.
-fn rebuild_from_scratch(cat: &StreamingCatalog) -> StratifiedDiskGraph {
+/// The catalog's current object set as a fresh dataset: the live
+/// external ids ride in as a sparse permutation.
+fn live_dataset(cat: &StreamingCatalog) -> Dataset {
     let perm = IdPermutation::try_new_sparse(cat.live_externals()).expect("live ids are unique");
-    let data = Dataset::from_flat(
+    Dataset::from_flat(
         "rebuild",
         cat.data().metric(),
         cat.data().dim(),
         cat.data().flat_coords().to_vec(),
     )
-    .with_permutation(Some(Arc::new(perm)));
-    let tree = MTree::build(&data, MTreeConfig::default());
+    .with_permutation(Some(Arc::new(perm)))
+}
+
+/// From-scratch rebuild over [`live_dataset`] through the production
+/// pipeline, so the rebuilt graph ranks greedy candidates by the same
+/// external ids as the mutated one.
+fn rebuild_from_scratch(data: &Dataset, r_max: f64) -> StratifiedDiskGraph {
+    let tree = MTree::build(data, MTreeConfig::default());
     StratifiedDiskGraph::from_mtree(
         &tree,
-        cat.graph().radius(),
+        r_max,
         SelfJoinConfig::with_threads(self_join_threads()),
     )
     .expect("self-join over a clean dataset")
+}
+
+/// Definition 1 by brute force: `solution` (external ids) is an r-DisC
+/// diverse subset of `data`.
+fn assert_disc(data: &Dataset, solution: &[ObjId], r: f64, what: &str) {
+    let internal: Vec<ObjId> = solution.iter().map(|&e| data.internal_id(e)).collect();
+    let report = verify_disc(data, &internal, r);
+    assert!(report.is_valid(), "{what} at r={r}: {report:?}");
 }
 
 fn check_interleaving(metric: Metric, seed: u64, ops: &[u8]) {
@@ -111,31 +130,40 @@ fn check_interleaving(metric: Metric, seed: u64, ops: &[u8]) {
         }
     }
 
-    let fresh = rebuild_from_scratch(&cat);
+    let live = live_dataset(&cat);
+    let fresh = rebuild_from_scratch(&live, r_max);
     assert_eq!(fresh.len(), cat.len(), "{metric:?}: live count");
 
     // Standalone zooms and the chained zoom-in sweep agree in external
-    // ids at every radius.
-    let mut mine_prev = greedy_disc_graph(&cat.graph().view(radii[0]).to_unit_disk_graph());
-    let mut fresh_prev = greedy_disc_graph(&fresh.view(radii[0]).to_unit_disk_graph());
+    // ids at every radius, and every answer is r-DisC diverse.
+    let mut mine_prev = greedy_disc_graph(&cat.graph().view(radii[0]));
+    let mut fresh_prev = greedy_disc_graph(&fresh.view(radii[0]));
     assert_eq!(
         mine_prev.solution, fresh_prev.solution,
         "{metric:?}: top radius {}",
         radii[0]
     );
+    assert_disc(
+        &live,
+        &mine_prev.solution,
+        radii[0],
+        &format!("{metric:?} top"),
+    );
     for &r in &radii[1..] {
-        let mine = greedy_disc_graph(&cat.graph().view(r).to_unit_disk_graph());
-        let scratch = greedy_disc_graph(&fresh.view(r).to_unit_disk_graph());
+        let mine = greedy_disc_graph(&cat.graph().view(r));
+        let scratch = greedy_disc_graph(&fresh.view(r));
         assert_eq!(
             mine.solution, scratch.solution,
             "{metric:?}: standalone {r}"
         );
+        assert_disc(&live, &mine.solution, r, &format!("{metric:?} standalone"));
         mine_prev = greedy_zoom_in_graph(cat.graph(), &mine_prev, r).result;
         fresh_prev = greedy_zoom_in_graph(&fresh, &fresh_prev, r).result;
         assert_eq!(
             mine_prev.solution, fresh_prev.solution,
             "{metric:?}: chain step {r}"
         );
+        assert_disc(&live, &mine_prev.solution, r, &format!("{metric:?} chain"));
     }
 }
 
@@ -187,7 +215,7 @@ fn all_duplicates_repairs_are_byte_identical_to_from_scratch() {
         let graph = StratifiedDiskGraph::build(&data, r_max);
         let mut cat = StreamingCatalog::try_new(data, graph).expect("consistent");
 
-        let result = greedy_disc_graph(&cat.graph().view(r).to_unit_disk_graph());
+        let result = greedy_disc_graph(&cat.graph().view(r));
         assert_eq!(
             result.solution,
             vec![0],
@@ -196,13 +224,15 @@ fn all_duplicates_repairs_are_byte_identical_to_from_scratch() {
         let mut rep = RepairableSolution::from_result(&cat, &result).expect("valid seed");
 
         let pin = |rep: &RepairableSolution, cat: &StreamingCatalog, step: &str| {
-            let fresh = greedy_disc_graph(&cat.graph().view(r).to_unit_disk_graph());
+            let fresh = greedy_disc_graph(&cat.graph().view(r));
             assert_eq!(
                 rep.solution(),
                 &fresh.solution[..],
                 "{metric:?}: repair vs from-scratch after {step}"
             );
             rep.verify(cat).expect("repair contract");
+            let what = format!("{metric:?} repair after {step}");
+            assert_disc(&live_dataset(cat), rep.solution(), r, &what);
         };
 
         // Inserts of more duplicates: every one is covered, nothing
